@@ -2,16 +2,16 @@
 //! "near real-time detection" claim) and wire-format costs.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use darnet_collect::{decode_batch, encode_batch, Batch, SensorReading, StampedReading};
+use darnet_collect::{decode_batch, encode_batch, Batch, SensorReading, StampedReading, StreamId};
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
 use darnet_core::{
-    AnalyticsEngine, BayesianCombiner, CnnConfig, EngineConfig, FrameCnn, ImuModelSlot, ImuRnn,
-    RnnConfig,
+    CnnConfig, CombinerKind, FrameCnn, ImuRnn, MultiModalEngine, NaryBayesianCombiner, RnnConfig,
+    StreamInput, StreamModelSlot,
 };
 use darnet_sim::Frame;
 use darnet_tensor::Tensor;
 
-fn engine() -> AnalyticsEngine {
+fn engine() -> MultiModalEngine {
     let cnn = FrameCnn::new(
         CnnConfig {
             width: 1.5,
@@ -31,20 +31,23 @@ fn engine() -> AnalyticsEngine {
     // the latency measurement.
     let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
     rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1).unwrap();
-    let mut combiner = BayesianCombiner::darnet();
+    let mut combiner = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
     combiner
         .fit(
-            &Tensor::full(&[6, 6], 1.0 / 6.0),
-            &Tensor::full(&[6, 3], 1.0 / 3.0),
+            &[
+                &Tensor::full(&[6, 6], 1.0 / 6.0),
+                &Tensor::full(&[6, 3], 1.0 / 3.0),
+            ],
             &[0, 1, 2, 3, 4, 5],
         )
         .unwrap();
-    AnalyticsEngine::new(
+    MultiModalEngine::darnet_pair(
         cnn,
-        ImuModelSlot::Rnn(rnn),
+        StreamModelSlot::Rnn(rnn),
         combiner,
-        EngineConfig::default(),
+        CombinerKind::Bayesian,
     )
+    .unwrap()
 }
 
 fn bench_step(c: &mut Criterion) {
@@ -53,8 +56,19 @@ fn bench_step(c: &mut Criterion) {
     let mut eng = engine();
     let frame = Frame::new(48, 48);
     let window = Tensor::zeros(&[1, WINDOW_LEN, IMU_FEATURES]);
+    let inputs = [
+        (
+            StreamId::CAMERA_FRONT,
+            StreamInput::Frames(std::slice::from_ref(&frame)),
+        ),
+        (StreamId::IMU, StreamInput::Windows(&window)),
+    ];
+    let mut out = Vec::new();
     group.bench_function("engine classify_step (frame + imu window)", |bench| {
-        bench.iter(|| black_box(eng.classify_step(&frame, &window).unwrap()))
+        bench.iter(|| {
+            eng.classify_step_into(&inputs, &mut out).unwrap();
+            black_box(&out);
+        })
     });
     group.finish();
 }

@@ -2,9 +2,9 @@
 //! tracking.
 //!
 //! Measures the tensor kernels (matmul, conv lowering) serial vs
-//! 4-thread, and end-to-end engine classification at batch=1 vs
-//! batch=32, then emits a flat-JSON metrics file (see
-//! [`darnet_bench::metrics`]).
+//! 4-thread, and end-to-end two-stream classification (the allocating
+//! composition [`tiny::AllocatingPair`]) at batch=1 vs batch=32, then
+//! emits a flat-JSON metrics file (see [`darnet_bench::metrics`]).
 //!
 //! Flags:
 //!
@@ -21,29 +21,14 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use darnet_bench::metrics;
+use darnet_bench::tiny::{self, FRAME_SIZE};
+use darnet_bench::{metrics, random_tensor};
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
-use darnet_core::{
-    AnalyticsEngine, BayesianCombiner, CnnConfig, CombinerKind, EngineConfig, FrameCnn,
-    ImuModelSlot, ImuRnn, RnnConfig,
-};
 use darnet_sim::Frame;
-use darnet_tensor::{im2col_with, Conv2dSpec, Parallelism, SplitMix64, Tensor};
+use darnet_tensor::{im2col_with, Conv2dSpec, Parallelism, Tensor};
 
 const THREADS: usize = 4;
 const TOLERANCE: f64 = 0.15;
-const FRAME_SIZE: usize = 12;
-
-fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
-    let mut rng = SplitMix64::new(seed);
-    let mut t = Tensor::zeros(dims);
-    // Non-zero everywhere: the matmul kernel skips zero elements, so a
-    // zero-filled benchmark input would measure the wrong code path.
-    for v in t.data_mut() {
-        *v = rng.uniform(0.1, 1.0);
-    }
-    t
-}
 
 /// Best (minimum) seconds per call over `reps` calls, after one warmup
 /// call. Min-of-N is robust to scheduler noise on small shared hosts,
@@ -57,47 +42,6 @@ fn time_per_call<F: FnMut()>(reps: usize, mut f: F) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
-}
-
-/// A deliberately small engine: per-item compute low enough that the
-/// per-call overheads batching amortizes (tensor allocation, layer
-/// dispatch, per-step LSTM products) are a visible fraction of runtime.
-fn tiny_engine() -> AnalyticsEngine {
-    let cnn = FrameCnn::new(
-        CnnConfig {
-            input_size: FRAME_SIZE,
-            classes: 6,
-            width: 0.25,
-            ..CnnConfig::default()
-        },
-        1,
-    );
-    let mut rnn = ImuRnn::new(
-        RnnConfig {
-            hidden: 8,
-            depth: 1,
-            ..RnnConfig::default()
-        },
-        2,
-    );
-    let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
-    rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1).expect("rnn smoke fit");
-    let mut combiner = BayesianCombiner::darnet();
-    combiner
-        .fit(
-            &Tensor::full(&[6, 6], 1.0 / 6.0),
-            &Tensor::full(&[6, 3], 1.0 / 3.0),
-            &[0, 1, 2, 3, 4, 5],
-        )
-        .expect("combiner smoke fit");
-    AnalyticsEngine::new(
-        cnn,
-        ImuModelSlot::Rnn(rnn),
-        combiner,
-        EngineConfig {
-            combiner: CombinerKind::Bayesian,
-        },
-    )
 }
 
 fn run(fast: bool) -> BTreeMap<String, f64> {
@@ -150,7 +94,7 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     // End-to-end engine: batch=1 vs batch=32 items/s (serial handle, so
     // the comparison isolates batching from thread-level parallelism).
     let batch = 32usize;
-    let mut engine = tiny_engine();
+    let mut engine = tiny::AllocatingPair::default();
     let frames: Vec<Frame> = (0..batch)
         .map(|_| Frame::new(FRAME_SIZE, FRAME_SIZE))
         .collect();
@@ -168,13 +112,13 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     let eng_reps = if fast { 5 } else { 10 };
     let t_single = time_per_call(eng_reps, || {
         for (frame, window) in frames.iter().zip(&singles) {
-            engine.classify_step(frame, window).expect("classify_step");
+            engine
+                .classify(std::slice::from_ref(frame), window)
+                .expect("classify one step");
         }
     });
     let t_batch = time_per_call(eng_reps, || {
-        engine
-            .classify_batch(&frames, &windows)
-            .expect("classify_batch");
+        engine.classify(&frames, &windows).expect("classify batch");
     });
     let items = batch as f64;
     out.insert("throughput_engine_batch1".to_string(), items / t_single);

@@ -218,9 +218,185 @@ pub mod alloc_counter {
     }
 }
 
+/// A seeded tensor of values in `[0.1, 1.0)`. Non-zero everywhere: the
+/// matmul kernel skips zero elements, so a zero-filled benchmark input
+/// would measure the wrong code path.
+pub fn random_tensor(dims: &[usize], seed: u64) -> darnet_tensor::Tensor {
+    let mut rng = darnet_tensor::SplitMix64::new(seed);
+    let mut t = darnet_tensor::Tensor::zeros(dims);
+    for v in t.data_mut() {
+        *v = rng.uniform(0.1, 1.0);
+    }
+    t
+}
+
 /// Prints a section header.
 pub fn header(title: &str) {
     println!("\n=== {title} ===");
+}
+
+/// The deliberately small engines the inference benchmarks and the
+/// zero-alloc test drive: per-item compute low enough that per-call
+/// allocation and dispatch overhead is a visible fraction of runtime.
+/// Every engine keeps its default serial parallelism — threaded dispatch
+/// allocates by design, so the zero-alloc contract is serial.
+pub mod tiny {
+    use darnet_collect::StreamId;
+    use darnet_core::dataset::{frames_to_tensor, IMU_FEATURES, WINDOW_LEN};
+    use darnet_core::{
+        ClassMap, CnnConfig, CombinerKind, FrameCnn, ImuRnn, ModalityDescriptor, MultiModalEngine,
+        NaryBayesianCombiner, RnnConfig, StreamModelSlot,
+    };
+    use darnet_sim::Frame;
+    use darnet_tensor::Tensor;
+
+    /// Square frame edge of every tiny camera model.
+    pub const FRAME_SIZE: usize = 12;
+
+    /// A tiny 6-class frame CNN.
+    pub fn cnn(seed: u64) -> FrameCnn {
+        FrameCnn::new(
+            CnnConfig {
+                input_size: FRAME_SIZE,
+                classes: 6,
+                width: 0.25,
+                ..CnnConfig::default()
+            },
+            seed,
+        )
+    }
+
+    /// A tiny 3-class IMU BiLSTM, smoke-fitted so its standardizer
+    /// exists.
+    pub fn rnn() -> ImuRnn {
+        let mut rnn = ImuRnn::new(
+            RnnConfig {
+                hidden: 8,
+                depth: 1,
+                ..RnnConfig::default()
+            },
+            2,
+        );
+        let x = Tensor::ones(&[6, WINDOW_LEN, IMU_FEATURES]);
+        rnn.fit(&x, &[0, 1, 2, 0, 1, 2], 1).expect("rnn smoke fit");
+        rnn
+    }
+
+    /// A pair combiner (parents `[cnn, imu]`) fitted on uniform
+    /// posteriors.
+    pub fn pair_combiner() -> NaryBayesianCombiner {
+        let mut combiner = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
+        combiner
+            .fit(
+                &[
+                    &Tensor::full(&[6, 6], 1.0 / 6.0),
+                    &Tensor::full(&[6, 3], 1.0 / 3.0),
+                ],
+                &[0, 1, 2, 3, 4, 5],
+            )
+            .expect("combiner smoke fit");
+        combiner
+    }
+
+    /// The paper's two-stream engine (front camera + IMU) over the tiny
+    /// models.
+    pub fn pair_engine() -> MultiModalEngine {
+        MultiModalEngine::darnet_pair(
+            cnn(1),
+            StreamModelSlot::Rnn(rnn()),
+            pair_combiner(),
+            CombinerKind::Bayesian,
+        )
+        .expect("pair engine")
+    }
+
+    /// A 3-stream engine: the IMU RNN behind the 6→3 projection plus
+    /// front and side camera views, fused through a 3-parent Bayesian
+    /// combiner.
+    pub fn three_view_engine() -> MultiModalEngine {
+        let mut engine = MultiModalEngine::new(6, CombinerKind::Bayesian);
+        engine
+            .register(
+                ModalityDescriptor::darnet_imu(),
+                StreamModelSlot::Rnn(rnn()),
+            )
+            .expect("register imu");
+        engine
+            .register(
+                ModalityDescriptor::darnet_camera(),
+                StreamModelSlot::Cnn(cnn(3)),
+            )
+            .expect("register front");
+        engine
+            .register(
+                ModalityDescriptor::new(StreamId::CAMERA_SIDE, ClassMap::Identity),
+                StreamModelSlot::Cnn(cnn(4)),
+            )
+            .expect("register side");
+        engine
+            .fit_combiner(
+                &[
+                    &Tensor::full(&[6, 3], 1.0 / 3.0),
+                    &Tensor::full(&[6, 6], 1.0 / 6.0),
+                    &Tensor::full(&[6, 6], 1.0 / 6.0),
+                ],
+                &[0, 1, 2, 3, 4, 5],
+            )
+            .expect("combiner smoke fit");
+        engine
+    }
+
+    /// The allocating reference for the two-stream engine: the same
+    /// models and combiner as [`pair_engine`], run the way the historical
+    /// pair engine's allocating `classify_step`/`classify_batch` ran them.
+    pub struct AllocatingPair {
+        cnn: FrameCnn,
+        rnn: ImuRnn,
+        combiner: NaryBayesianCombiner,
+    }
+
+    impl Default for AllocatingPair {
+        fn default() -> Self {
+            AllocatingPair {
+                cnn: cnn(1),
+                rnn: rnn(),
+                combiner: pair_combiner(),
+            }
+        }
+    }
+
+    impl AllocatingPair {
+        /// Classifies `frames[i]` with window `i` of `windows`: a fresh
+        /// frame tensor, each model's allocating `predict_proba`, then
+        /// [`NaryBayesianCombiner::combine_n`] per item. Returns each
+        /// item's class and fused scores.
+        ///
+        /// # Errors
+        ///
+        /// Propagates model and combiner errors.
+        pub fn classify(
+            &mut self,
+            frames: &[Frame],
+            windows: &Tensor,
+        ) -> darnet_core::Result<Vec<(usize, Vec<f32>)>> {
+            let cnn_probs = self.cnn.predict_proba(&frames_to_tensor(frames)?)?;
+            let imu_probs = self.rnn.predict_proba(windows)?;
+            cnn_probs
+                .data()
+                .chunks_exact(6)
+                .zip(imu_probs.data().chunks_exact(3))
+                .map(|(cnn, imu)| {
+                    let scores = self.combiner.combine_n(&[cnn, imu])?;
+                    let best = scores
+                        .iter()
+                        .enumerate()
+                        .max_by(|a, b| a.1.total_cmp(b.1))
+                        .map_or(0, |(c, _)| c);
+                    Ok((best, scores))
+                })
+                .collect()
+        }
+    }
 }
 
 #[cfg(test)]
@@ -316,5 +492,43 @@ mod tests {
         assert!(metrics::compare(&base, &cur, 0.15).is_empty());
         cur.remove("cost_ack_p99_s");
         assert_eq!(metrics::compare(&base, &cur, 0.15).len(), 1);
+    }
+
+    #[test]
+    fn allocating_pair_matches_the_pair_engine_bitwise() {
+        use darnet_collect::StreamId;
+        use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
+        use darnet_core::StreamInput;
+        use darnet_sim::Frame;
+
+        let mut rng = darnet_tensor::SplitMix64::new(5);
+        let frames: Vec<Frame> = (0..3)
+            .map(|_| {
+                let pixels = (0..tiny::FRAME_SIZE * tiny::FRAME_SIZE)
+                    .map(|_| rng.uniform(0.0, 1.0))
+                    .collect();
+                Frame::from_pixels(tiny::FRAME_SIZE, tiny::FRAME_SIZE, pixels)
+            })
+            .collect();
+        let windows = random_tensor(&[3, WINDOW_LEN, IMU_FEATURES], 6);
+        let want = tiny::AllocatingPair::default()
+            .classify(&frames, &windows)
+            .unwrap();
+        let mut got = Vec::new();
+        tiny::pair_engine()
+            .classify_batch_into(
+                &[
+                    (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
+                    (StreamId::IMU, StreamInput::Windows(&windows)),
+                ],
+                &mut got,
+            )
+            .unwrap();
+        assert_eq!(want.len(), got.len());
+        for ((class, scores), o) in want.iter().zip(&got) {
+            assert_eq!(*class, o.class);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(scores), bits(&o.scores));
+        }
     }
 }

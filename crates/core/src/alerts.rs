@@ -12,7 +12,7 @@
 use darnet_sim::Behavior;
 use serde::{Deserialize, Serialize};
 
-use crate::engine::StepClassification;
+use crate::registry::MultiStepClassification;
 
 /// Alert policy parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -82,10 +82,15 @@ impl AlertTracker {
         self.raised_total
     }
 
-    /// Feeds one classification step; returns the transition it causes.
-    pub fn observe(&mut self, step: &StepClassification) -> AlertEvent {
+    /// Feeds one classification step of the paper's 6-behaviour engine;
+    /// returns the transition it causes. A class index outside the
+    /// taxonomy changes nothing.
+    pub fn observe(&mut self, step: &MultiStepClassification) -> AlertEvent {
+        let Some(behavior) = Behavior::from_index(step.class) else {
+            return AlertEvent::None;
+        };
         let confidence = step.scores.iter().cloned().fold(0.0f32, f32::max);
-        if step.behavior == Behavior::NormalDriving {
+        if behavior == Behavior::NormalDriving {
             self.distracted_streak = 0;
             self.confidence_acc = 0.0;
             if self.active.is_some() {
@@ -105,11 +110,11 @@ impl AlertTracker {
         if self.active.is_none() && self.distracted_streak >= self.policy.trigger_steps {
             let mean_conf = self.confidence_acc / self.distracted_streak as f32;
             if mean_conf >= self.policy.min_confidence {
-                self.active = Some(step.behavior);
+                self.active = Some(behavior);
                 self.raised_total += 1;
                 self.distracted_streak = 0;
                 self.confidence_acc = 0.0;
-                return AlertEvent::Raised(step.behavior);
+                return AlertEvent::Raised(behavior);
             }
         }
         AlertEvent::None
@@ -120,15 +125,13 @@ impl AlertTracker {
 mod tests {
     use super::*;
 
-    fn step(behavior: Behavior, confidence: f32) -> StepClassification {
+    fn step(behavior: Behavior, confidence: f32) -> MultiStepClassification {
         let mut scores = vec![(1.0 - confidence) / 5.0; 6];
         scores[behavior.index()] = confidence;
-        StepClassification {
-            behavior,
+        MultiStepClassification {
+            class: behavior.index(),
             scores,
-            cnn_probs: vec![1.0 / 6.0; 6],
-            imu_probs: vec![1.0 / 3.0; 3],
-            source: crate::engine::FusionSource::Fused,
+            used: Vec::new(),
             degraded: false,
         }
     }
@@ -234,5 +237,18 @@ mod tests {
             tracker.observe(&step(Behavior::NormalDriving, 0.4)),
             AlertEvent::Cleared
         );
+    }
+
+    #[test]
+    fn class_outside_the_taxonomy_is_ignored() {
+        let mut tracker = AlertTracker::new(AlertPolicy {
+            trigger_steps: 1,
+            clear_steps: 1,
+            min_confidence: 0.0,
+        });
+        let mut odd = step(Behavior::Texting, 0.9);
+        odd.class = 6;
+        assert_eq!(tracker.observe(&odd), AlertEvent::None);
+        assert_eq!(tracker.active(), None);
     }
 }

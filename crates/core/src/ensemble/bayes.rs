@@ -1,10 +1,12 @@
-//! The Bayesian-network combiner (paper §4.2): each class gets its own BN
-//! with two parent nodes — the CNN's prediction and the IMU model's
-//! prediction — and a child node indicating class membership. The
-//! conditional probability tables are computed from observation counts on
-//! training data.
-
-use serde::{Deserialize, Serialize};
+//! The historical two-parent Bayesian-network combiner (paper §4.2): each
+//! class gets its own BN with two parent nodes — the CNN's prediction and
+//! the IMU model's prediction — and a child node indicating class
+//! membership. The conditional probability tables are computed from
+//! observation counts on training data.
+//!
+//! Test-only: this is the frozen reference the N-ary combiner's two-parent
+//! fit and inference are pinned against bit for bit (see `nary.rs`
+//! tests). Production code fuses through [`super::NaryBayesianCombiner`].
 
 use darnet_tensor::Tensor;
 
@@ -21,7 +23,7 @@ use crate::Result;
 /// `score(c) = Σ_a Σ_b  p_cnn(a) · p_imu(b) · CPT_c[a][b]`
 ///
 /// Laplace smoothing keeps unseen parent combinations usable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BayesianCombiner {
     classes: usize,
     imu_classes: usize,
@@ -44,19 +46,8 @@ impl BayesianCombiner {
         }
     }
 
-    /// Default configuration for DarNet (6 behaviour classes, 3 IMU
-    /// classes).
-    pub fn darnet() -> Self {
-        BayesianCombiner::new(6, 3, 1.0)
-    }
-
     fn idx(&self, c: usize, a: usize, b: usize) -> usize {
         (c * self.classes + a) * self.imu_classes + b
-    }
-
-    /// Whether [`BayesianCombiner::fit`] has run.
-    pub fn is_fitted(&self) -> bool {
-        self.fitted
     }
 
     /// The CPT entry `P(Y=c | A=a, B=b)`.
@@ -118,27 +109,6 @@ impl BayesianCombiner {
     /// Returns [`CoreError::NotReady`] before fitting or on width
     /// mismatches.
     pub fn combine(&self, cnn_probs: &[f32], imu_probs: &[f32]) -> Result<Vec<f32>> {
-        let mut scores = Vec::with_capacity(self.classes);
-        self.combine_into(cnn_probs, imu_probs, &mut scores)?;
-        Ok(scores)
-    }
-
-    /// [`BayesianCombiner::combine`] writing into a caller-provided
-    /// buffer (cleared first), so the steady-state fusion loop allocates
-    /// nothing once the buffer has capacity. Bitwise-identical to
-    /// [`BayesianCombiner::combine`], which delegates here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::NotReady`] before fitting or on width
-    /// mismatches.
-    // darlint: hot
-    pub fn combine_into(
-        &self,
-        cnn_probs: &[f32],
-        imu_probs: &[f32],
-        scores: &mut Vec<f32>,
-    ) -> Result<()> {
         if !self.fitted {
             return Err(CoreError::NotReady("bayesian combiner not fitted".into()));
         }
@@ -151,8 +121,7 @@ impl BayesianCombiner {
                 imu_probs.len()
             )));
         }
-        scores.clear();
-        scores.resize(self.classes, 0.0);
+        let mut scores = vec![0.0f32; self.classes];
         for (a, &pa) in cnn_probs.iter().enumerate().take(self.classes) {
             if pa == 0.0 {
                 continue;
@@ -173,206 +142,6 @@ impl BayesianCombiner {
                 *s /= total;
             }
         }
-        Ok(())
-    }
-
-    /// Converts to the N-parent generalization with parents
-    /// `[cnn, imu]`. The flattened CPT layouts coincide, so the
-    /// conversion is a plain copy and
-    /// [`NaryBayesianCombiner::combine_n_into`][crate::ensemble::NaryBayesianCombiner::combine_n_into]
-    /// over both parents is bitwise-identical to
-    /// [`BayesianCombiner::combine_into`].
-    pub fn to_nary(&self) -> super::NaryBayesianCombiner {
-        super::NaryBayesianCombiner::from_parts(
-            self.classes,
-            vec![self.classes, self.imu_classes],
-            self.cpt.clone(),
-            self.alpha,
-            self.fitted,
-        )
-    }
-
-    /// Batch combination: `[n, classes]` scores from `[n, classes]` and
-    /// `[n, imu_classes]` probability matrices.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-row errors.
-    pub fn combine_batch(&self, cnn_probs: &Tensor, imu_probs: &Tensor) -> Result<Tensor> {
-        let n = cnn_probs.dims()[0];
-        let mut rows = Vec::with_capacity(n * self.classes);
-        for i in 0..n {
-            let c_row = &cnn_probs.data()[i * self.classes..(i + 1) * self.classes];
-            let b_row = &imu_probs.data()[i * self.imu_classes..(i + 1) * self.imu_classes];
-            rows.extend(self.combine(c_row, b_row)?);
-        }
-        Ok(Tensor::from_vec(rows, &[n, self.classes])?)
-    }
-
-    /// Batch hard predictions.
-    ///
-    /// # Errors
-    ///
-    /// Propagates per-row errors.
-    pub fn predict_batch(&self, cnn_probs: &Tensor, imu_probs: &Tensor) -> Result<Vec<usize>> {
-        Ok(self.combine_batch(cnn_probs, imu_probs)?.argmax_rows()?)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A toy world where the CNN confuses classes 0/1 but the IMU resolves
-    /// them perfectly (class 0 → imu 0, class 1 → imu 1).
-    fn toy_fit() -> BayesianCombiner {
-        let n = 200;
-        let mut cnn = Vec::new();
-        let mut imu = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..n {
-            let label = i % 2;
-            labels.push(label);
-            // CNN: barely informative (52/48).
-            if label == 0 {
-                cnn.extend_from_slice(&[0.52, 0.48]);
-            } else {
-                cnn.extend_from_slice(&[0.48, 0.52]);
-            }
-            // IMU: highly informative.
-            if label == 0 {
-                imu.extend_from_slice(&[0.95, 0.05]);
-            } else {
-                imu.extend_from_slice(&[0.05, 0.95]);
-            }
-        }
-        let cnn_t = Tensor::from_vec(cnn, &[n, 2]).unwrap();
-        let imu_t = Tensor::from_vec(imu, &[n, 2]).unwrap();
-        let mut comb = BayesianCombiner::new(2, 2, 1.0);
-        comb.fit(&cnn_t, &imu_t, &labels).unwrap();
-        comb
-    }
-
-    #[test]
-    fn unfitted_combiner_errors() {
-        let comb = BayesianCombiner::darnet();
-        assert!(matches!(
-            comb.combine(&[0.2; 6], &[0.34, 0.33, 0.33]),
-            Err(CoreError::NotReady(_))
-        ));
-    }
-
-    #[test]
-    fn cpt_columns_are_distributions() {
-        let comb = toy_fit();
-        for a in 0..2 {
-            for b in 0..2 {
-                let total: f32 = (0..2).map(|c| comb.cpt(c, a, b)).sum();
-                assert!((total - 1.0).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
-    fn combiner_trusts_the_informative_modality() {
-        let comb = toy_fit();
-        // CNN says class 0 weakly; IMU says class 1 strongly.
-        let scores = comb.combine(&[0.52, 0.48], &[0.05, 0.95]).unwrap();
-        assert!(scores[1] > scores[0], "{scores:?}");
-        assert!((scores.iter().sum::<f32>() - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn combined_accuracy_beats_weak_modality_alone() {
-        // Generative model: the CNN is right 70% of the time, the IMU 95%.
-        // The fused posterior should track the more reliable parent and
-        // beat the CNN alone — the structural claim behind the paper's
-        // Table 2.
-        let gen = |i: usize| -> (usize, [f32; 2], [f32; 2]) {
-            let label = i % 2;
-            let cnn_right = i % 10 < 7;
-            let imu_right = !i.is_multiple_of(20);
-            let toward = |right: bool, conf: f32| -> [f32; 2] {
-                let target = if right { label } else { 1 - label };
-                if target == 0 {
-                    [conf, 1.0 - conf]
-                } else {
-                    [1.0 - conf, conf]
-                }
-            };
-            (label, toward(cnn_right, 0.7), toward(imu_right, 0.95))
-        };
-        // Fit on 400 generated observations.
-        let n_fit = 400;
-        let mut cnn_rows = Vec::new();
-        let mut imu_rows = Vec::new();
-        let mut labels = Vec::new();
-        for i in 0..n_fit {
-            let (l, c, m) = gen(i);
-            labels.push(l);
-            cnn_rows.extend_from_slice(&c);
-            imu_rows.extend_from_slice(&m);
-        }
-        let mut comb = BayesianCombiner::new(2, 2, 1.0);
-        comb.fit(
-            &Tensor::from_vec(cnn_rows, &[n_fit, 2]).unwrap(),
-            &Tensor::from_vec(imu_rows, &[n_fit, 2]).unwrap(),
-            &labels,
-        )
-        .unwrap();
-        // Evaluate on a phase-shifted sample of the same distribution.
-        let mut correct_comb = 0;
-        let mut correct_cnn = 0;
-        let n = 200;
-        for k in 0..n {
-            let (label, cnn, imu) = gen(k + 3);
-            let scores = comb.combine(&cnn, &imu).unwrap();
-            let pred = if scores[0] >= scores[1] { 0 } else { 1 };
-            if pred == label {
-                correct_comb += 1;
-            }
-            let cnn_pred = if cnn[0] >= cnn[1] { 0 } else { 1 };
-            if cnn_pred == label {
-                correct_cnn += 1;
-            }
-        }
-        assert!(
-            correct_comb > correct_cnn,
-            "combined {correct_comb} vs cnn {correct_cnn}"
-        );
-        assert!(correct_comb as f32 / n as f32 > 0.85);
-    }
-
-    #[test]
-    fn batch_and_single_agree() {
-        let comb = toy_fit();
-        let cnn = Tensor::from_vec(vec![0.5, 0.5, 0.9, 0.1], &[2, 2]).unwrap();
-        let imu = Tensor::from_vec(vec![0.2, 0.8, 0.7, 0.3], &[2, 2]).unwrap();
-        let batch = comb.combine_batch(&cnn, &imu).unwrap();
-        let single0 = comb.combine(&[0.5, 0.5], &[0.2, 0.8]).unwrap();
-        for (a, b) in batch.data()[..2].iter().zip(&single0) {
-            assert!((a - b).abs() < 1e-6);
-        }
-        let preds = comb.predict_batch(&cnn, &imu).unwrap();
-        assert_eq!(preds.len(), 2);
-    }
-
-    #[test]
-    fn fit_validates_shapes_and_labels() {
-        let mut comb = BayesianCombiner::new(2, 2, 1.0);
-        let cnn = Tensor::zeros(&[3, 2]);
-        let imu = Tensor::zeros(&[3, 2]);
-        assert!(comb.fit(&cnn, &imu, &[0, 1]).is_err());
-        assert!(comb.fit(&cnn, &imu, &[0, 1, 5]).is_err());
-    }
-
-    #[test]
-    fn smoothing_keeps_unseen_combinations_finite() {
-        let comb = toy_fit();
-        // Parent combination (a=1, b=0) may be rare; CPT must still be a
-        // valid distribution (Laplace smoothing).
-        let scores = comb.combine(&[0.0, 1.0], &[1.0, 0.0]).unwrap();
-        assert!(scores.iter().all(|v| v.is_finite() && *v >= 0.0));
-        assert!((scores.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        Ok(scores)
     }
 }

@@ -1,15 +1,16 @@
-//! N-parent generalization of the Bayesian-network combiner: the same
-//! per-class CPT marginalization as [`super::BayesianCombiner`], but over
-//! an arbitrary ordered list of parent streams instead of a hard-coded
-//! CNN/IMU pair.
+//! The Bayesian-network combiner (paper §4.2) over an arbitrary ordered
+//! list of parent streams: each class gets its own BN whose parents are
+//! the registered streams' predictions and whose child indicates class
+//! membership, with conditional probability tables computed from
+//! observation counts on training data.
 //!
 //! The flattened CPT layout folds the parent indices lexicographically —
-//! `idx = ((c · card₀ + a₀) · card₁ + a₁) …` — which for two parents is
-//! exactly the legacy `(c · classes + a) · imu_classes + b` layout, so a
-//! legacy combiner converts by copying its table
-//! ([`super::BayesianCombiner::to_nary`]) and the 2-parent inference loop
-//! here reproduces the legacy loop bitwise: same visit order, same
-//! zero-weight skips, same accumulation order, same normalization.
+//! `idx = ((c · card₀ + a₀) · card₁ + a₁) …` — which for the paper's
+//! `[cnn, imu]` pair is exactly the historical two-parent
+//! `(c · classes + a) · imu_classes + b` layout. The 2-parent fit and
+//! inference reproduce the historical pair combiner bitwise (same visit
+//! order, zero-weight skips, accumulation order and normalization); the
+//! tests below pin that against the frozen pair reference.
 
 use serde::{Deserialize, Serialize};
 
@@ -59,26 +60,6 @@ impl NaryBayesianCombiner {
         }
     }
 
-    /// Rebuilds a combiner from raw parts (the legacy pair-combiner
-    /// conversion path).
-    pub(crate) fn from_parts(
-        classes: usize,
-        parent_cards: Vec<usize>,
-        cpt: Vec<f32>,
-        alpha: f32,
-        fitted: bool,
-    ) -> Self {
-        let weights = vec![1.0; parent_cards.len()];
-        NaryBayesianCombiner {
-            classes,
-            parent_weights: weights,
-            cpt,
-            parent_cards,
-            alpha,
-            fitted,
-        }
-    }
-
     /// Sets per-parent tempering weights (posterior exponents). A weight
     /// of `1.0` leaves that parent untouched bitwise.
     ///
@@ -107,8 +88,7 @@ impl NaryBayesianCombiner {
         &self.parent_cards
     }
 
-    /// Whether [`NaryBayesianCombiner::fit`] has run (or the table was
-    /// copied from a fitted legacy combiner).
+    /// Whether [`NaryBayesianCombiner::fit`] has run.
     pub fn is_fitted(&self) -> bool {
         self.fitted
     }
@@ -192,9 +172,7 @@ impl NaryBayesianCombiner {
     }
 
     /// [`NaryBayesianCombiner::combine_n`] writing into a caller-provided
-    /// buffer (cleared first) — the zero-alloc fusion path. With two
-    /// parents this is bitwise-identical to the legacy
-    /// [`super::BayesianCombiner::combine_into`].
+    /// buffer (cleared first) — the zero-alloc fusion path.
     ///
     /// # Errors
     ///
@@ -327,6 +305,7 @@ mod tests {
     use super::super::BayesianCombiner;
     use super::*;
     use darnet_tensor::SplitMix64;
+    use proptest::prelude::*;
 
     fn random_rows(rng: &mut SplitMix64, n: usize, width: usize, zeros: bool) -> Vec<f32> {
         let mut rows = Vec::with_capacity(n * width);
@@ -351,15 +330,18 @@ mod tests {
         rows
     }
 
+    /// The reference pair combiner and the N-ary one, fitted on the same
+    /// random posteriors.
     fn fitted_pair(seed: u64) -> (BayesianCombiner, NaryBayesianCombiner) {
         let mut rng = SplitMix64::new(seed);
         let n = 64;
         let cnn = Tensor::from_vec(random_rows(&mut rng, n, 6, false), &[n, 6]).unwrap();
         let imu = Tensor::from_vec(random_rows(&mut rng, n, 3, false), &[n, 3]).unwrap();
         let labels: Vec<usize> = (0..n).map(|_| rng.next_usize(6)).collect();
-        let mut legacy = BayesianCombiner::darnet();
+        let mut legacy = BayesianCombiner::new(6, 3, 1.0);
         legacy.fit(&cnn, &imu, &labels).unwrap();
-        let nary = legacy.to_nary();
+        let mut nary = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
+        nary.fit(&[&cnn, &imu], &labels).unwrap();
         (legacy, nary)
     }
 
@@ -386,7 +368,7 @@ mod tests {
         let cnn = Tensor::from_vec(random_rows(&mut rng, n, 6, false), &[n, 6]).unwrap();
         let imu = Tensor::from_vec(random_rows(&mut rng, n, 3, false), &[n, 3]).unwrap();
         let labels: Vec<usize> = (0..n).map(|_| rng.next_usize(6)).collect();
-        let mut legacy = BayesianCombiner::darnet();
+        let mut legacy = BayesianCombiner::new(6, 3, 1.0);
         legacy.fit(&cnn, &imu, &labels).unwrap();
         let mut nary = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
         nary.fit(&[&cnn, &imu], &labels).unwrap();
@@ -472,5 +454,165 @@ mod tests {
         let c = tempered.combine_n(&[&cnn, &imu]).unwrap();
         assert_ne!(a, c);
         assert!(nary.clone().with_weights(vec![1.0]).is_err());
+    }
+
+    /// A toy world where the first parent confuses classes 0/1 but the
+    /// second resolves them perfectly.
+    fn toy_fit() -> NaryBayesianCombiner {
+        let n = 200;
+        let mut weak = Vec::new();
+        let mut strong = Vec::new();
+        let mut labels = Vec::new();
+        for i in 0..n {
+            let label = i % 2;
+            labels.push(label);
+            // Barely informative (52/48) vs highly informative.
+            if label == 0 {
+                weak.extend_from_slice(&[0.52, 0.48]);
+                strong.extend_from_slice(&[0.95, 0.05]);
+            } else {
+                weak.extend_from_slice(&[0.48, 0.52]);
+                strong.extend_from_slice(&[0.05, 0.95]);
+            }
+        }
+        let weak = Tensor::from_vec(weak, &[n, 2]).unwrap();
+        let strong = Tensor::from_vec(strong, &[n, 2]).unwrap();
+        let mut comb = NaryBayesianCombiner::new(2, vec![2, 2], 1.0);
+        comb.fit(&[&weak, &strong], &labels).unwrap();
+        comb
+    }
+
+    #[test]
+    fn combiner_trusts_the_informative_parent() {
+        let comb = toy_fit();
+        // The weak parent says class 0; the strong one says class 1.
+        let scores = comb.combine_n(&[&[0.52, 0.48], &[0.05, 0.95]]).unwrap();
+        assert!(scores[1] > scores[0], "{scores:?}");
+        assert!((scores.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+        // Laplace smoothing keeps rare parent combinations usable.
+        let scores = comb.combine_n(&[&[0.0, 1.0], &[1.0, 0.0]]).unwrap();
+        assert!(scores.iter().all(|v| v.is_finite() && *v >= 0.0));
+        assert!((scores.iter().sum::<f32>() - 1.0).abs() < 1e-5);
+    }
+
+    #[test]
+    fn combined_accuracy_beats_weak_parent_alone() {
+        // Generative model: the first parent is right 70% of the time, the
+        // second 95%. The fused posterior should track the more reliable
+        // parent and beat the first alone — the structural claim behind
+        // the paper's Table 2.
+        let gen = |i: usize| -> (usize, [f32; 2], [f32; 2]) {
+            let label = i % 2;
+            let toward = |right: bool, conf: f32| -> [f32; 2] {
+                let target = if right { label } else { 1 - label };
+                if target == 0 {
+                    [conf, 1.0 - conf]
+                } else {
+                    [1.0 - conf, conf]
+                }
+            };
+            (
+                label,
+                toward(i % 10 < 7, 0.7),
+                toward(!i.is_multiple_of(20), 0.95),
+            )
+        };
+        let n_fit = 400;
+        let mut weak = Vec::new();
+        let mut strong = Vec::new();
+        let mut labels = Vec::new();
+        for i in 0..n_fit {
+            let (l, a, b) = gen(i);
+            labels.push(l);
+            weak.extend_from_slice(&a);
+            strong.extend_from_slice(&b);
+        }
+        let mut comb = NaryBayesianCombiner::new(2, vec![2, 2], 1.0);
+        comb.fit(
+            &[
+                &Tensor::from_vec(weak, &[n_fit, 2]).unwrap(),
+                &Tensor::from_vec(strong, &[n_fit, 2]).unwrap(),
+            ],
+            &labels,
+        )
+        .unwrap();
+        // Evaluate on a phase-shifted sample of the same distribution.
+        let (mut correct_comb, mut correct_weak) = (0, 0);
+        let n = 200;
+        for k in 0..n {
+            let (label, a, b) = gen(k + 3);
+            let scores = comb.combine_n(&[&a, &b]).unwrap();
+            correct_comb += usize::from(usize::from(scores[1] > scores[0]) == label);
+            correct_weak += usize::from(usize::from(a[1] > a[0]) == label);
+        }
+        assert!(
+            correct_comb > correct_weak,
+            "combined {correct_comb} vs weak {correct_weak}"
+        );
+        assert!(correct_comb as f32 / n as f32 > 0.85);
+    }
+
+    #[test]
+    fn fit_validates_shapes_and_labels() {
+        let mut comb = NaryBayesianCombiner::new(2, vec![2, 2], 1.0);
+        let a = Tensor::zeros(&[3, 2]);
+        let b = Tensor::zeros(&[3, 2]);
+        assert!(comb.fit(&[&a, &b], &[0, 1]).is_err());
+        assert!(comb.fit(&[&a, &b], &[0, 1, 5]).is_err());
+        assert!(comb.fit(&[&a], &[0, 1, 1]).is_err());
+    }
+
+    fn prob_row(n: usize) -> impl Strategy<Value = Vec<f32>> {
+        prop::collection::vec(0.01f32..1.0, n).prop_map(|v| {
+            let s: f32 = v.iter().sum();
+            v.into_iter().map(|x| x / s).collect()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn cpt_columns_are_distributions_after_any_fit(
+            labels in prop::collection::vec(0usize..3, 10..60),
+            seed in 0u64..100,
+        ) {
+            let n = labels.len();
+            let mut rng = SplitMix64::new(seed);
+            let a = Tensor::from_vec(random_rows(&mut rng, n, 3, false), &[n, 3]).unwrap();
+            let b = Tensor::from_vec(random_rows(&mut rng, n, 2, false), &[n, 2]).unwrap();
+            let mut comb = NaryBayesianCombiner::new(3, vec![3, 2], 1.0);
+            comb.fit(&[&a, &b], &labels).unwrap();
+            for base in 0..6 {
+                let total: f32 = (0..3).map(|c| comb.cpt[c * 6 + base]).sum();
+                prop_assert!((total - 1.0).abs() < 1e-4);
+            }
+        }
+
+        #[test]
+        fn pair_combiner_is_bitwise_reference(
+            n in 12usize..40,
+            alpha in 0.1f32..2.0,
+            seed in 0u64..200,
+            cnn_row in prob_row(6),
+            imu_row in prob_row(3),
+        ) {
+            let mut rng = SplitMix64::new(seed);
+            let cnn = Tensor::from_vec(random_rows(&mut rng, n, 6, false), &[n, 6]).unwrap();
+            let imu = Tensor::from_vec(random_rows(&mut rng, n, 3, false), &[n, 3]).unwrap();
+            let labels: Vec<usize> = (0..n).map(|i| (i + seed as usize) % 6).collect();
+            let mut reference = BayesianCombiner::new(6, 3, alpha);
+            reference.fit(&cnn, &imu, &labels).unwrap();
+            let mut nary = NaryBayesianCombiner::new(6, vec![6, 3], alpha);
+            nary.fit(&[&cnn, &imu], &labels).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let want = reference.combine(&cnn_row, &imu_row).unwrap();
+            let full = nary.combine_n(&[&cnn_row, &imu_row]).unwrap();
+            prop_assert_eq!(bits(&want), bits(&full));
+            let mut subset = Vec::new();
+            nary.combine_subset_into(
+                &[Some(cnn_row.as_slice()), Some(imu_row.as_slice())],
+                &mut subset,
+            ).unwrap();
+            prop_assert_eq!(bits(&want), bits(&subset));
+        }
     }
 }

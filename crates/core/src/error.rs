@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use darnet_collect::CollectError;
+use darnet_collect::{CollectError, StreamId};
 use darnet_nn::NnError;
 use darnet_tensor::TensorError;
 
@@ -19,6 +19,15 @@ pub enum CoreError {
     Dataset(String),
     /// The engine was used before its models were trained/registered.
     NotReady(String),
+    /// A present stream's input held a NaN or infinite value. The batch
+    /// is rejected before any model runs, so a corrupt reading can never
+    /// surface as a class.
+    NonFiniteInput {
+        /// The stream whose input was corrupt.
+        stream: StreamId,
+        /// Batch index of the first corrupt time-step.
+        step: usize,
+    },
     /// A scoped worker thread panicked during a concurrent engine stage
     /// (see DESIGN.md §11: hot paths convert panics at the join boundary
     /// instead of re-panicking).
@@ -36,6 +45,9 @@ impl fmt::Display for CoreError {
             CoreError::Collect(e) => write!(f, "collection error: {e}"),
             CoreError::Dataset(msg) => write!(f, "dataset error: {msg}"),
             CoreError::NotReady(msg) => write!(f, "engine not ready: {msg}"),
+            CoreError::NonFiniteInput { stream, step } => {
+                write!(f, "stream {stream} input at step {step} is not finite")
+            }
             CoreError::WorkerPanicked { stage } => {
                 write!(f, "a parallel worker thread panicked in stage {stage}")
             }

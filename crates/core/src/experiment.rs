@@ -20,14 +20,14 @@ use darnet_tensor::{SplitMix64, Tensor};
 use crate::dataset::{
     CanonicalDataset, ExtendedFrameDataset, MultimodalDataset, IMU_FEATURES, WINDOW_LEN,
 };
-use crate::ensemble::{product_combine, BayesianCombiner, CombinerKind};
+use crate::ensemble::{CombinerKind, NaryBayesianCombiner};
 use crate::eval::ConfusionMatrix;
 use crate::health::{HealthPolicy, ModalityStatus};
 use crate::models::{CnnConfig, FrameCnn, ImuRnn, ImuSvm, RnnConfig};
 use crate::privacy::{distill_dcnn, DistillConfig, Downsampler, PrivacyLevel};
 use crate::registry::{
-    ClassMap, ModalityDescriptor, MultiModalEngine, MultiStepClassification, StreamInput,
-    StreamModelSlot,
+    product_combine_subset_into, ClassMap, ModalityDescriptor, MultiModalEngine,
+    MultiStepClassification, StreamInput, StreamModelSlot,
 };
 use crate::{CoreError, Result};
 
@@ -201,10 +201,10 @@ pub struct TrainedStack {
     pub rnn: ImuRnn,
     /// Trained IMU SVM (3 classes).
     pub svm: ImuSvm,
-    /// Bayesian combiner fitted for CNN+RNN.
-    pub bn_rnn: BayesianCombiner,
-    /// Bayesian combiner fitted for CNN+SVM.
-    pub bn_svm: BayesianCombiner,
+    /// Bayesian combiner fitted for CNN+RNN (parents `[cnn, rnn]`).
+    pub bn_rnn: NaryBayesianCombiner,
+    /// Bayesian combiner fitted for CNN+SVM (parents `[cnn, svm]`).
+    pub bn_svm: NaryBayesianCombiner,
     /// CNN probabilities on the evaluation split.
     pub cnn_probs_eval: Tensor,
     /// RNN probabilities on the evaluation split.
@@ -270,10 +270,10 @@ pub fn train_stack_on(
     let cnn_probs_train = cnn.predict_proba(&train_frames)?;
     let rnn_probs_train = rnn.predict_proba(&train_windows)?;
     let svm_probs_train = svm.predict_proba(&train_windows)?;
-    let mut bn_rnn = BayesianCombiner::darnet();
-    bn_rnn.fit(&cnn_probs_train, &rnn_probs_train, &train_labels6)?;
-    let mut bn_svm = BayesianCombiner::darnet();
-    bn_svm.fit(&cnn_probs_train, &svm_probs_train, &train_labels6)?;
+    let mut bn_rnn = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
+    bn_rnn.fit(&[&cnn_probs_train, &rnn_probs_train], &train_labels6)?;
+    let mut bn_svm = NaryBayesianCombiner::new(6, vec![6, 3], 1.0);
+    bn_svm.fit(&[&cnn_probs_train, &svm_probs_train], &train_labels6)?;
 
     // Evaluation-split probabilities (computed once, reused by reports).
     let eval_frames = eval.frames_tensor()?;
@@ -317,6 +317,25 @@ pub struct Table2Report {
     pub cm_cnn: ConfusionMatrix,
 }
 
+/// Hard predictions of a fitted pair combiner over row-aligned `[n, 6]`
+/// CNN and `[n, 3]` IMU posteriors.
+fn pair_predictions(
+    combiner: &NaryBayesianCombiner,
+    cnn_probs: &Tensor,
+    imu_probs: &Tensor,
+) -> Result<Vec<usize>> {
+    let n = cnn_probs.dims()[0];
+    let mut rows = Vec::with_capacity(n * 6);
+    for (cnn, imu) in cnn_probs
+        .data()
+        .chunks_exact(6)
+        .zip(imu_probs.data().chunks_exact(3))
+    {
+        rows.extend(combiner.combine_n(&[cnn, imu])?);
+    }
+    Ok(Tensor::from_vec(rows, &[n, 6])?.argmax_rows()?)
+}
+
 fn accuracy(preds: &[usize], labels: &[usize]) -> f64 {
     let correct = preds.iter().zip(labels).filter(|(a, b)| a == b).count();
     correct as f64 / labels.len().max(1) as f64
@@ -332,12 +351,10 @@ pub fn table2_from_stack(stack: &TrainedStack) -> Result<Table2Report> {
     let labels3 = stack.eval.labels3();
 
     let preds_cnn = stack.cnn_probs_eval.argmax_rows()?;
-    let preds_rnn_ens = stack
-        .bn_rnn
-        .predict_batch(&stack.cnn_probs_eval, &stack.rnn_probs_eval)?;
-    let preds_svm_ens = stack
-        .bn_svm
-        .predict_batch(&stack.cnn_probs_eval, &stack.svm_probs_eval)?;
+    let preds_rnn_ens =
+        pair_predictions(&stack.bn_rnn, &stack.cnn_probs_eval, &stack.rnn_probs_eval)?;
+    let preds_svm_ens =
+        pair_predictions(&stack.bn_svm, &stack.cnn_probs_eval, &stack.svm_probs_eval)?;
     let preds_rnn_only = stack.rnn_probs_eval.argmax_rows()?;
     let preds_svm_only = stack.svm_probs_eval.argmax_rows()?;
 
@@ -598,14 +615,23 @@ pub struct CombinerAblation {
 pub fn run_ablation_combiner(stack: &TrainedStack) -> Result<CombinerAblation> {
     let labels6 = stack.eval.labels6();
     let n = labels6.len();
-    let bayes_preds = stack
-        .bn_rnn
-        .predict_batch(&stack.cnn_probs_eval, &stack.rnn_probs_eval)?;
+    let bayes_preds =
+        pair_predictions(&stack.bn_rnn, &stack.cnn_probs_eval, &stack.rnn_probs_eval)?;
+    let camera = ModalityDescriptor::darnet_camera();
+    let imu = ModalityDescriptor::darnet_imu();
     let mut product_preds = Vec::with_capacity(n);
+    let mut scores = Vec::with_capacity(6);
     for i in 0..n {
         let c = &stack.cnn_probs_eval.data()[i * 6..(i + 1) * 6];
         let m = &stack.rnn_probs_eval.data()[i * 3..(i + 1) * 3];
-        let scores = product_combine(c, m)?;
+        product_combine_subset_into(
+            &[
+                (Some(c), &camera.class_map, camera.weight),
+                (Some(m), &imu.class_map, imu.weight),
+            ],
+            6,
+            &mut scores,
+        )?;
         let best = scores
             .iter()
             .enumerate()

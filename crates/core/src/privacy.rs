@@ -93,7 +93,7 @@ impl Downsampler {
 
     /// Re-expands a distorted frame to the nominal input size with
     /// nearest-neighbour up-sampling (server-side, before the dCNN).
-    // darlint: cold — privacy restore builds a frame at a new geometry; only the by-value classify_step_private path calls it
+    // darlint: cold — privacy restore builds a frame at a new geometry; its only caller is `roundtrip`, which builds offline dCNN distillation and evaluation inputs
     pub fn restore(&self, frame: &Frame) -> Frame {
         frame.upsample_nearest(self.full_size, self.full_size)
     }

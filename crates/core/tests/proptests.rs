@@ -1,16 +1,15 @@
 //! Property-based tests for the analytics engine: confusion-matrix and
 //! combiner invariants, privacy arithmetic, batched-inference equivalence,
-//! and the N-stream registry's bitwise fidelity to the legacy pair path.
+//! and the N=2 engine's thread invariance and normalized output.
 
 use darnet_collect::StreamId;
 use darnet_core::dataset::{IMU_FEATURES, WINDOW_LEN};
-use darnet_core::ensemble::{product_combine, CombinerKind};
+use darnet_core::ensemble::CombinerKind;
 use darnet_core::privacy::PrivacyLevel;
 use darnet_core::registry::product_combine_subset_into;
 use darnet_core::{
-    AnalyticsEngine, BayesianCombiner, ClassMap, CnnConfig, ConfusionMatrix, EngineConfig,
-    FrameCnn, ImuModelSlot, ImuRnn, ModalityDescriptor, MultiModalEngine, NaryBayesianCombiner,
-    RnnConfig, StreamInput, StreamModelSlot,
+    ClassMap, CnnConfig, ConfusionMatrix, FrameCnn, ImuRnn, ModalityStatus, MultiModalEngine,
+    NaryBayesianCombiner, RnnConfig, StreamInput, StreamModelSlot,
 };
 use darnet_sim::Frame;
 use darnet_tensor::{Parallelism, SplitMix64, Tensor};
@@ -36,15 +35,29 @@ fn random_tensor(dims: &[usize], rng: &mut SplitMix64) -> Tensor {
     t
 }
 
-/// A legacy pair combiner fitted on random posteriors.
-fn fitted_pair(n: usize, alpha: f32, seed: u64) -> darnet_core::Result<BayesianCombiner> {
+/// A pair combiner (parents `[cnn, imu]`) fitted on random posteriors.
+fn fitted_pair(n: usize, alpha: f32, seed: u64) -> darnet_core::Result<NaryBayesianCombiner> {
     let mut rng = SplitMix64::new(seed);
     let cnn = random_tensor(&[n, 6], &mut rng);
     let imu = random_tensor(&[n, 3], &mut rng);
     let labels: Vec<usize> = (0..n).map(|i| (i + seed as usize) % 6).collect();
-    let mut comb = BayesianCombiner::new(6, 3, alpha);
-    comb.fit(&cnn, &imu, &labels)?;
+    let mut comb = NaryBayesianCombiner::new(6, vec![6, 3], alpha);
+    comb.fit(&[&cnn, &imu], &labels)?;
     Ok(comb)
+}
+
+/// The paper's product rule over the `[camera, imu]` pair.
+fn product_pair(cnn_row: &[f32], imu_row: &[f32]) -> darnet_core::Result<Vec<f32>> {
+    let mut scores = Vec::new();
+    product_combine_subset_into(
+        &[
+            (Some(cnn_row), &ClassMap::Identity, 1.0),
+            (Some(imu_row), &ClassMap::darnet_imu(), 1.0),
+        ],
+        6,
+        &mut scores,
+    )?;
+    Ok(scores)
 }
 
 proptest! {
@@ -65,27 +78,6 @@ proptest! {
     }
 
     #[test]
-    fn bayesian_cpt_is_normalized_after_any_fit(
-        labels in prop::collection::vec(0usize..3, 10..60),
-        seed in 0u64..100,
-    ) {
-        let n = labels.len();
-        let mut rng = darnet_tensor::SplitMix64::new(seed);
-        let mut cnn = Tensor::zeros(&[n, 3]);
-        for v in cnn.data_mut() { *v = rng.uniform(0.01, 1.0); }
-        let mut imu = Tensor::zeros(&[n, 2]);
-        for v in imu.data_mut() { *v = rng.uniform(0.01, 1.0); }
-        let mut comb = BayesianCombiner::new(3, 2, 1.0);
-        comb.fit(&cnn, &imu, &labels).unwrap();
-        for a in 0..3 {
-            for b in 0..2 {
-                let total: f32 = (0..3).map(|c| comb.cpt(c, a, b)).sum();
-                prop_assert!((total - 1.0).abs() < 1e-4);
-            }
-        }
-    }
-
-    #[test]
     fn combined_scores_are_distributions(
         labels in prop::collection::vec(0usize..3, 20..50),
         cnn_row in prob_row(3),
@@ -98,9 +90,9 @@ proptest! {
         for v in cnn.data_mut() { *v = rng.uniform(0.01, 1.0); }
         let mut imu = Tensor::zeros(&[n, 2]);
         for v in imu.data_mut() { *v = rng.uniform(0.01, 1.0); }
-        let mut comb = BayesianCombiner::new(3, 2, 0.5);
-        comb.fit(&cnn, &imu, &labels).unwrap();
-        let scores = comb.combine(&cnn_row, &imu_row).unwrap();
+        let mut comb = NaryBayesianCombiner::new(3, vec![3, 2], 0.5);
+        comb.fit(&[&cnn, &imu], &labels).unwrap();
+        let scores = comb.combine_n(&[&cnn_row, &imu_row]).unwrap();
         let sum: f32 = scores.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-4);
         prop_assert!(scores.iter().all(|&v| v >= 0.0));
@@ -108,7 +100,7 @@ proptest! {
 
     #[test]
     fn product_combiner_outputs_distribution(cnn_row in prob_row(6), imu_row in prob_row(3)) {
-        let scores = product_combine(&cnn_row, &imu_row).unwrap();
+        let scores = product_pair(&cnn_row, &imu_row).unwrap();
         let sum: f32 = scores.iter().sum();
         prop_assert!((sum - 1.0).abs() < 1e-4);
     }
@@ -145,44 +137,19 @@ proptest! {
     }
 
     #[test]
-    fn nary_pair_combiner_is_bitwise_legacy(
-        n in 12usize..40,
-        alpha in 0.1f32..2.0,
-        seed in 0u64..200,
-        cnn_row in prob_row(6),
-        imu_row in prob_row(3),
-    ) {
-        let legacy = fitted_pair(n, alpha, seed).unwrap();
-        let nary = legacy.to_nary();
-        let want = legacy.combine(&cnn_row, &imu_row).unwrap();
-        let full = nary.combine_n(&[&cnn_row, &imu_row]).unwrap();
-        prop_assert_eq!(bits(&want), bits(&full));
-        let mut subset = Vec::new();
-        nary.combine_subset_into(
-            &[Some(cnn_row.as_slice()), Some(imu_row.as_slice())],
-            &mut subset,
-        ).unwrap();
-        prop_assert_eq!(bits(&want), bits(&subset));
-    }
-
-    #[test]
     fn product_subset_pair_is_bitwise_legacy(
         cnn_row in prob_row(6),
         imu_row in prob_row(3),
     ) {
-        let want = product_combine(&cnn_row, &imu_row).unwrap();
-        let camera = ClassMap::Identity;
-        let imu_map = ClassMap::darnet_imu();
-        let mut got = Vec::new();
-        product_combine_subset_into(
-            &[
-                (Some(cnn_row.as_slice()), &camera, 1.0),
-                (Some(imu_row.as_slice()), &imu_map, 1.0),
-            ],
-            6,
-            &mut got,
-        ).unwrap();
-        prop_assert_eq!(bits(&want), bits(&got));
+        // The frozen pair formula: cnn[c] · max(imu[imu_class(c)], 1e-6),
+        // then total-normalize.
+        let m = [0usize, 1, 2, 0, 0, 0];
+        let mut want: Vec<f32> = (0..6).map(|c| cnn_row[c] * imu_row[m[c]].max(1e-6)).collect();
+        let total: f32 = want.iter().sum();
+        for v in &mut want {
+            *v /= total;
+        }
+        prop_assert_eq!(bits(&want), bits(&product_pair(&cnn_row, &imu_row).unwrap()));
     }
 
     #[test]
@@ -270,14 +237,14 @@ proptest! {
     // Each case trains a (tiny) RNN, so keep the case count modest.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The tentpole contract: an N=2 registry engine loaded with the
-    /// same models, combiner, and [`Parallelism`] is bitwise-identical
-    /// to the legacy two-stream [`AnalyticsEngine`] on arbitrary inputs,
-    /// for every combiner kind.
+    /// The N=2 engine (front camera + IMU) on arbitrary inputs: a threaded
+    /// engine is bitwise the serial one, and every fused score vector —
+    /// full fusion and both single-survivor fallbacks, every combiner
+    /// kind — is finite and sums to 1.
     #[test]
-    fn n2_registry_engine_matches_legacy_engine_bitwise(
+    fn n2_engine_is_thread_invariant_and_normalized(
         n in 1usize..4,
-        threads in 1usize..4,
+        threads in 2usize..4,
         seed in 0u64..50,
         kind_idx in 0usize..3,
     ) {
@@ -299,33 +266,21 @@ proptest! {
         let mut rng = SplitMix64::new(seed ^ 0x1234);
         let fit_windows = random_tensor(&[9, WINDOW_LEN, IMU_FEATURES], &mut rng);
         let fit_labels: Vec<usize> = (0..9).map(|i| i % 3).collect();
-        let make_cnn = || FrameCnn::new(cnn_config, seed ^ 0x11);
-        let make_rnn = || {
+        let make_engine = |par: Parallelism| {
             let mut rnn = ImuRnn::new(rnn_config, seed ^ 0x22);
             rnn.fit(&fit_windows, &fit_labels, 1).unwrap();
-            rnn
+            let mut engine = MultiModalEngine::darnet_pair(
+                FrameCnn::new(cnn_config, seed ^ 0x11),
+                StreamModelSlot::Rnn(rnn),
+                fitted_pair(24, 1.0, seed ^ 0x77).unwrap(),
+                kind,
+            )
+            .unwrap();
+            engine.set_parallelism(par);
+            engine
         };
-        let combiner = fitted_pair(24, 1.0, seed ^ 0x77).unwrap();
-        let par = Parallelism::new(threads).with_min_work(1);
-
-        let mut legacy = AnalyticsEngine::new(
-            make_cnn(),
-            ImuModelSlot::Rnn(make_rnn()),
-            combiner.clone(),
-            EngineConfig { combiner: kind },
-        );
-        legacy.set_parallelism(par);
-
-        let mut registry = MultiModalEngine::new(6, kind);
-        // Legacy CPT parent order: camera first, then IMU.
-        registry
-            .register(ModalityDescriptor::darnet_camera(), StreamModelSlot::Cnn(make_cnn()))
-            .unwrap();
-        registry
-            .register(ModalityDescriptor::darnet_imu(), StreamModelSlot::Rnn(make_rnn()))
-            .unwrap();
-        registry.set_combiner(combiner.to_nary()).unwrap();
-        registry.set_parallelism(par);
+        let mut serial = make_engine(Parallelism::serial());
+        let mut threaded = make_engine(Parallelism::new(threads).with_min_work(1));
 
         let frames: Vec<Frame> = (0..n)
             .map(|_| {
@@ -334,22 +289,27 @@ proptest! {
             })
             .collect();
         let windows = random_tensor(&[n, WINDOW_LEN, IMU_FEATURES], &mut rng);
-
-        let want = legacy.classify_batch(&frames, &windows).unwrap();
-        let mut got = Vec::new();
-        registry
-            .classify_batch_into(
-                &[
-                    (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
-                    (StreamId::IMU, StreamInput::Windows(&windows)),
-                ],
-                &mut got,
-            )
-            .unwrap();
-        prop_assert_eq!(want.len(), got.len());
-        for (w, g) in want.iter().zip(&got) {
-            prop_assert_eq!(w.behavior.index(), g.class);
-            prop_assert_eq!(bits(&w.scores), bits(&g.scores));
+        let inputs = [
+            (StreamId::CAMERA_FRONT, StreamInput::Frames(&frames)),
+            (StreamId::IMU, StreamInput::Windows(&windows)),
+        ];
+        for statuses in [
+            &[][..],
+            &[(StreamId::CAMERA_FRONT, ModalityStatus::Unavailable)][..],
+            &[(StreamId::IMU, ModalityStatus::Unavailable)][..],
+        ] {
+            let mut want = Vec::new();
+            serial.classify_batch_checked_into(&inputs, statuses, &mut want).unwrap();
+            let mut got = Vec::new();
+            threaded.classify_batch_checked_into(&inputs, statuses, &mut got).unwrap();
+            prop_assert_eq!(want.len(), n);
+            prop_assert_eq!(&want, &got);
+            for o in &want {
+                prop_assert!(o.scores.iter().all(|v| v.is_finite()), "{:?}", o.scores);
+                let sum: f32 = o.scores.iter().sum();
+                prop_assert!((sum - 1.0).abs() < 1e-5, "sum {}", sum);
+                prop_assert!(o.class < 6);
+            }
         }
     }
 }

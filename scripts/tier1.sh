@@ -16,7 +16,7 @@ fi
 
 cargo fmt --all --check
 cargo build --release --locked
-cargo test -q --locked
+cargo test -q --locked --workspace
 cargo clippy --workspace --locked -- -D warnings
 
 # Escalated pass on the hot-path crates AND the linter itself: panics in
