@@ -33,7 +33,9 @@ use darnet_bench::metrics;
 use darnet_collect::runtime::{
     run_session, run_session_durable, CampaignConfig, CrashWindow, Durability,
 };
-use darnet_collect::{replay_into, AdmissionConfig, Controller, MemStorage, WalConfig, WalStorage};
+use darnet_collect::{
+    replay_into, AdmissionConfig, Controller, MemStorage, StreamId, WalConfig, WalStorage,
+};
 use darnet_sim::{Behavior, DrivingWorld, Segment, WorldConfig};
 
 const TOLERANCE: f64 = 0.15;
@@ -156,7 +158,7 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
     );
     out.insert(
         "chaos_lossless".to_string(),
-        f64::from(u8::from(rec_a.transport.lossless())),
+        f64::from(u8::from(rec_a.lossless())),
     );
 
     // Determinism: identical recordings and chaos reports, and the two
@@ -201,16 +203,14 @@ fn run(fast: bool) -> BTreeMap<String, f64> {
         "overload_shed_batches".to_string(),
         overload.shed_batches as f64,
     );
-    let imu_shed = overload_rec
-        .transport
-        .imu_stream
-        .map(|h| h.shed_ratio())
-        .unwrap_or(1.0);
-    let cam_shed = overload_rec
-        .transport
-        .camera_stream
-        .map(|h| h.shed_ratio())
-        .unwrap_or(1.0);
+    let shed_ratio = |stream| {
+        overload_rec
+            .health_for(stream)
+            .map(|h| h.shed_ratio())
+            .unwrap_or(1.0)
+    };
+    let imu_shed = shed_ratio(StreamId::IMU);
+    let cam_shed = shed_ratio(StreamId::CAMERA_FRONT);
     out.insert("overload_imu_shed_ratio".to_string(), imu_shed);
     out.insert("overload_camera_shed_ratio".to_string(), cam_shed);
     out.insert(

@@ -428,14 +428,6 @@ impl Controller {
         .into()
     }
 
-    /// Health report addressed by [`StreamId`] instead of raw agent id —
-    /// the stream-generic entry point the core modality registry uses, so
-    /// N-stream health assessment never hard-codes which agent carries
-    /// which modality.
-    pub fn stream_health_by_id(&self, stream: StreamId) -> Option<StreamHealth> {
-        self.stream_health(stream.agent_id())
-    }
-
     /// Whether `(agent_id, seq)` has been accepted — the durability
     /// invariant's probe: every batch whose ack an agent received must
     /// satisfy `has_seen` on the (possibly crash-recovered) controller.

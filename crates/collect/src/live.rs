@@ -4,11 +4,15 @@
 //! system, useful for the example binaries and for validating that the
 //! pipeline is `Send`-clean under real concurrency.
 //!
-//! The faulty variant ([`run_live_session_faulty`]) puts a seeded [`Link`]
-//! in front of each agent's channel: a transmission the link drops is
-//! immediately retried (the channel itself is reliable, so a successful
-//! link draw doubles as the ack), duplicated transmissions are sent twice
-//! and deduplicated by the controller's sequence tracking.
+//! Every driver runs the paper's device pair, a phone IMU and a dash
+//! camera, on the canonical sensors over the embedded Table-1 script.
+//! [`run_live_session`] streams one driver into one [`Controller`]; with
+//! [`LiveFaults`] each agent sends through a seeded [`Link`]: a
+//! transmission the link drops is immediately retried (the channel itself
+//! is reliable, so a successful link draw doubles as the ack), and
+//! duplicated transmissions are sent twice and deduplicated by the
+//! controller's sequence tracking. [`run_live_session_sharded`] streams
+//! many drivers into one [`ShardedController`].
 
 use std::sync::Arc;
 use std::thread;
@@ -18,12 +22,12 @@ use darnet_sim::{Behavior, DrivingWorld, Segment};
 
 use crate::agent::{AgentConfig, CollectionAgent, RetransmitConfig, TransportStats};
 use crate::clock::DriftClock;
-use crate::controller::{Controller, ControllerConfig, IngestOutcome};
+use crate::controller::{Controller, ControllerConfig};
 use crate::network::{Link, LinkConfig, LinkStats};
-use crate::sensor::{CameraSensor, ImuSensor, Sensor};
+use crate::runtime::lift_script;
+use crate::sensor::{CameraView, CanonicalCameraSensor, CanonicalImuSensor, Sensor};
 use crate::shard::{ShardConfig, ShardedController};
-use crate::wal::{self, RecoveryReport, Wal, WalConfig, WalStorage};
-use crate::wire::{decode_batch, encode_batch};
+use crate::wire::{decode_batch, encode_batch, Batch};
 use crate::{CollectError, Result};
 
 /// Output of a live run.
@@ -36,9 +40,25 @@ pub struct LiveRunReport {
     /// Number of batches delivered (duplicates included).
     pub batches: usize,
     /// Per-agent `(transport, link)` counters, indexed by agent id, when
-    /// the faulty mode ran. Empty for the plain reliable-channel mode.
+    /// the session ran with [`LiveFaults`]. Empty for the plain
+    /// reliable-channel mode.
     pub transports: Vec<(TransportStats, LinkStats)>,
 }
+
+/// Seeded link faults for a live session: each agent sends through its
+/// own [`Link`], drawn from `seed` and its agent id.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LiveFaults {
+    /// Loss, jitter and fault model of every agent's link.
+    pub link: LinkConfig,
+    /// Retry budget for dropped transmissions.
+    pub retransmit: RetransmitConfig,
+    /// Seed of the agents' links.
+    pub seed: u64,
+}
+
+/// One faulty agent's `(transport, link)` counters.
+type AgentCounters = (TransportStats, LinkStats);
 
 struct FaultySend {
     link: Link,
@@ -75,7 +95,7 @@ impl FaultySend {
 }
 
 /// Drives one collection agent to completion on the calling thread —
-/// invoked from a scoped worker inside [`run_live_inner`] (the project's
+/// invoked from a scoped worker of a live session (the project's
 /// scoped-threads-only invariant: no detached `thread::spawn`, workers
 /// cannot outlive the session).
 fn run_agent(
@@ -86,7 +106,7 @@ fn run_agent(
     transmit_period: f64,
     mut faulty: Option<FaultySend>,
     tx: Sender<Vec<u8>>,
-) -> Option<(TransportStats, LinkStats)> {
+) -> Option<AgentCounters> {
     let poll_period = sensor.period();
     let mut agent = CollectionAgent::new(
         agent_id,
@@ -128,117 +148,102 @@ fn run_agent(
     faulty.map(|f| (f.stats, f.link.link_stats()))
 }
 
-fn run_live_inner(
+/// The paper's device pair for one driver, IMU first: each agent's sensor
+/// on the driver's embedded script, and its clock. The camera shares the
+/// controller tablet, so its clock is nearly perfect.
+fn device_pair(
     world: &Arc<DrivingWorld>,
     driver: usize,
     segments: &[Segment<Behavior>],
-    duration: f64,
-    controller_config: ControllerConfig,
-    faults: Option<(LinkConfig, RetransmitConfig, u64)>,
-    durable: Option<(Arc<dyn WalStorage>, WalConfig)>,
-) -> Result<LiveRunReport> {
-    let script: Vec<Segment<Behavior>> = segments
-        .iter()
+) -> [(Box<dyn Sensor>, DriftClock); 2] {
+    let script: Vec<_> = lift_script(segments)
+        .into_iter()
         .filter(|s| s.driver == driver)
-        .copied()
         .collect();
+    let camera = CanonicalCameraSensor::new(
+        Arc::clone(world),
+        driver,
+        script.clone(),
+        0.25,
+        CameraView::Front,
+    );
+    let imu = CanonicalImuSensor::new(Arc::clone(world), driver, script, 0.025);
+    [
+        (Box::new(imu), DriftClock::new(50e-6, 0.01)),
+        (Box::new(camera), DriftClock::new(1e-6, 0.0)),
+    ]
+}
+
+/// Streams each listed driver's device pair from scoped worker threads
+/// over one channel, handing every decoded batch and its arrival stamp to
+/// `ingest` on the calling thread. `drivers` pairs each driver with its
+/// IMU agent's id; the camera takes the next id. Returns the bytes and
+/// batches that crossed the channel and, with `faults`, each agent's
+/// `(transport, link)` counters in spawn order.
+///
+/// Scoped threads: the workers provably terminate before this function
+/// returns. If `ingest` or decoding fails, dropping the receiver makes
+/// the workers' sends fail and they exit — the scope cannot deadlock.
+fn stream_live(
+    world: &Arc<DrivingWorld>,
+    drivers: &[(usize, u32)],
+    segments: &[Segment<Behavior>],
+    duration: f64,
+    faults: Option<LiveFaults>,
+    mut ingest: impl FnMut(f64, &Batch) -> Result<()>,
+) -> Result<(usize, usize, Vec<AgentCounters>)> {
     let (tx, rx) = bounded::<Vec<u8>>(64);
-
-    // Open the durable controller (replaying any prior incarnation's WAL)
-    // before the agent threads start streaming.
-    let (mut controller, mut wal): (Controller, Option<Wal>) = match durable {
-        Some((storage, wal_config)) => {
-            let (c, w, _) = wal::open(controller_config, storage, wal_config)?;
-            (c, Some(w))
-        }
-        None => (Controller::new(controller_config), None),
-    };
-
-    let make_faulty = |agent_id: u64| {
-        faults.map(|(link, retransmit, seed)| FaultySend {
-            link: Link::new(link, seed ^ agent_id.wrapping_mul(0x9E37_79B9)),
-            retransmit,
-            stats: TransportStats::default(),
-        })
-    };
-
-    // Scoped threads: the controller ingests on this thread while both
-    // agents stream from workers that provably terminate before the scope
-    // (and thus this function) returns. If the ingest loop aborts early on
-    // a decode error, dropping `rx` makes the workers' sends fail and they
-    // exit — the scope cannot deadlock.
-    let tx_imu = tx.clone();
-    let script_imu = script.clone();
-    let faulty_imu = make_faulty(0);
-    let faulty_cam = make_faulty(1);
     thread::scope(|scope| {
-        let imu_handle = scope.spawn(move || {
-            run_agent(
-                0,
-                Box::new(ImuSensor::new(Arc::clone(world), driver, script_imu, 0.025)),
-                DriftClock::new(50e-6, 0.01),
-                duration,
-                0.5,
-                faulty_imu,
-                tx_imu,
-            )
-        });
-        let cam_handle = scope.spawn(move || {
-            run_agent(
-                1,
-                Box::new(CameraSensor::new(Arc::clone(world), driver, script, 0.25)),
-                DriftClock::new(1e-6, 0.0),
-                duration,
-                0.5,
-                faulty_cam,
-                tx,
-            )
-        });
+        let mut handles = Vec::with_capacity(drivers.len() * 2);
+        for &(driver, first_id) in drivers {
+            let devices = device_pair(world, driver, segments);
+            for (agent_id, (sensor, clock)) in (first_id..).zip(devices) {
+                let faulty = faults.map(|f| FaultySend {
+                    link: Link::new(
+                        f.link,
+                        f.seed ^ u64::from(agent_id).wrapping_mul(0x9E37_79B9),
+                    ),
+                    retransmit: f.retransmit,
+                    stats: TransportStats::default(),
+                });
+                let tx = tx.clone();
+                handles.push(
+                    scope.spawn(move || {
+                        run_agent(agent_id, sensor, clock, duration, 0.5, faulty, tx)
+                    }),
+                );
+            }
+        }
+        // This thread's sender must drop, or `rx` never closes.
+        drop(tx);
 
-        let mut bytes_transferred = 0usize;
-        let mut batches = 0usize;
+        let (mut bytes_transferred, mut batches) = (0usize, 0usize);
         for encoded in rx {
             bytes_transferred += encoded.len();
             batches += 1;
             let batch = decode_batch(bytes::Bytes::from(encoded))?;
             // Live mode's arrival time base is the batch's own newest
-            // stamp (matching `Controller::ingest`); the durable path
-            // appends to the WAL before mutating state.
-            let arrival = batch
-                .readings
-                .last()
-                .map(|r| r.timestamp)
-                .unwrap_or_default();
-            let outcome = controller.offer_at(arrival, &batch, wal.as_mut())?;
-            if outcome != IngestOutcome::Shed {
-                if let Some(w) = wal.as_mut() {
-                    if w.needs_snapshot() {
-                        w.snapshot(&controller)?;
-                    }
-                }
-            }
+            // stamp (matching `Controller::ingest`).
+            let arrival = batch.readings.last().map(|r| r.timestamp);
+            ingest(arrival.unwrap_or_default(), &batch)?;
         }
-        let imu_transport = imu_handle
-            .join()
-            .map_err(|_| CollectError::InvalidConfig("imu agent thread panicked".into()))?;
-        let cam_transport = cam_handle
-            .join()
-            .map_err(|_| CollectError::InvalidConfig("camera agent thread panicked".into()))?;
-
-        Ok(LiveRunReport {
-            controller,
-            bytes_transferred,
-            batches,
-            transports: [imu_transport, cam_transport]
-                .into_iter()
-                .flatten()
-                .collect(),
-        })
+        let mut transports = Vec::new();
+        for handle in handles {
+            let counters = handle
+                .join()
+                .map_err(|_| CollectError::InvalidConfig("agent thread panicked".into()))?;
+            transports.extend(counters);
+        }
+        Ok((bytes_transferred, batches, transports))
     })
 }
 
-/// Runs a two-agent (camera + IMU) session on real threads over channels,
-/// simulating `duration` seconds of virtual time as fast as possible.
+/// Runs a two-agent (IMU + front camera) session on real threads over
+/// channels, simulating `duration` seconds of virtual time as fast as
+/// possible. With `faults`, every agent sends through a seeded faulty
+/// [`Link`]: drops are retried up to the retransmit budget (then surface
+/// as controller-side gaps), duplicated transmissions really are sent
+/// twice.
 ///
 /// # Errors
 ///
@@ -250,83 +255,23 @@ pub fn run_live_session(
     segments: &[Segment<Behavior>],
     duration: f64,
     controller_config: ControllerConfig,
+    faults: Option<LiveFaults>,
 ) -> Result<LiveRunReport> {
-    run_live_inner(
+    let mut controller = Controller::new(controller_config);
+    let (bytes_transferred, batches, transports) = stream_live(
         world,
-        driver,
+        &[(driver, 0)],
         segments,
         duration,
-        controller_config,
-        None,
-        None,
-    )
-}
-
-/// Like [`run_live_session`], but every accepted batch is appended to a
-/// write-ahead log in `storage` before it mutates controller state, and
-/// any state a previous session left in `storage` is replayed on open —
-/// kill the process mid-run and the next call resumes from the durable
-/// state. The replay accounting is returned alongside the report.
-///
-/// # Errors
-///
-/// Everything [`run_live_session`] returns, plus
-/// [`crate::CollectError::Wal`] / [`crate::CollectError::Recovery`] from
-/// the durability layer.
-pub fn run_live_session_durable(
-    world: &Arc<DrivingWorld>,
-    driver: usize,
-    segments: &[Segment<Behavior>],
-    duration: f64,
-    controller_config: ControllerConfig,
-    storage: Arc<dyn WalStorage>,
-    wal_config: WalConfig,
-) -> Result<(LiveRunReport, RecoveryReport)> {
-    // Probe the replay separately so the caller sees what recovery did
-    // (run_live_inner then re-opens; replay is idempotent and cheap at
-    // live-session scale).
-    let mut probe = Controller::new(controller_config);
-    let report = wal::replay_into(&mut probe, storage.as_ref())?;
-    drop(probe);
-    run_live_inner(
-        world,
-        driver,
-        segments,
-        duration,
-        controller_config,
-        None,
-        Some((storage, wal_config)),
-    )
-    .map(|live| (live, report))
-}
-
-/// Like [`run_live_session`], but every agent sends through a seeded faulty
-/// [`Link`]: drops are retried up to the retransmit budget (then surface as
-/// controller-side gaps), duplicated transmissions really are sent twice.
-///
-/// # Errors
-///
-/// Returns a decode error if a batch is corrupted in transit.
-#[allow(clippy::too_many_arguments)] // the session args plus the three fault knobs
-pub fn run_live_session_faulty(
-    world: &Arc<DrivingWorld>,
-    driver: usize,
-    segments: &[Segment<Behavior>],
-    duration: f64,
-    controller_config: ControllerConfig,
-    link: LinkConfig,
-    retransmit: RetransmitConfig,
-    seed: u64,
-) -> Result<LiveRunReport> {
-    run_live_inner(
-        world,
-        driver,
-        segments,
-        duration,
-        controller_config,
-        Some((link, retransmit, seed)),
-        None,
-    )
+        faults,
+        |t, batch| controller.offer_at(t, batch, None).map(drop),
+    )?;
+    Ok(LiveRunReport {
+        controller,
+        bytes_transferred,
+        batches,
+        transports,
+    })
 }
 
 /// Output of a sharded live run: the fleet front door after ingesting
@@ -342,7 +287,7 @@ pub struct LiveFleetReport {
 }
 
 /// Runs a multi-driver session on real threads — two agents (IMU +
-/// camera) per driver, all streaming over one channel into a
+/// front camera) per driver, all streaming over one channel into a
 /// [`ShardedController`] that is drained as traffic arrives. The live
 /// analogue of the event-driven fleet load generator: agent `2*d` is
 /// driver `d`'s IMU, `2*d + 1` its camera, and the hash partition routes
@@ -360,100 +305,59 @@ pub fn run_live_session_sharded(
     shard_config: ShardConfig,
 ) -> Result<LiveFleetReport> {
     let mut sharded = ShardedController::new(shard_config)?;
-    let (tx, rx) = bounded::<Vec<u8>>(64);
-    thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(drivers.len() * 2);
-        for &driver in drivers {
-            let script: Vec<Segment<Behavior>> = segments
-                .iter()
-                .filter(|s| s.driver == driver)
-                .copied()
-                .collect();
-            let imu_id = (driver as u32) * 2;
-            let tx_imu = tx.clone();
-            let tx_cam = tx.clone();
-            let script_cam = script.clone();
-            let world_imu = Arc::clone(world);
-            let world_cam = Arc::clone(world);
-            handles.push(scope.spawn(move || {
-                run_agent(
-                    imu_id,
-                    Box::new(ImuSensor::new(world_imu, driver, script, 0.025)),
-                    DriftClock::new(50e-6, 0.01),
-                    duration,
-                    0.5,
-                    None,
-                    tx_imu,
-                )
-            }));
-            handles.push(scope.spawn(move || {
-                run_agent(
-                    imu_id + 1,
-                    Box::new(CameraSensor::new(world_cam, driver, script_cam, 0.25)),
-                    DriftClock::new(1e-6, 0.0),
-                    duration,
-                    0.5,
-                    None,
-                    tx_cam,
-                )
-            }));
-        }
-        // The spawning thread's clone of `tx` must drop, or `rx` never
-        // closes and the ingest loop below spins forever.
-        drop(tx);
-
-        let mut bytes_transferred = 0usize;
-        let mut batches = 0usize;
-        for encoded in rx {
-            bytes_transferred += encoded.len();
-            batches += 1;
-            let batch = decode_batch(bytes::Bytes::from(encoded))?;
-            let arrival = batch
-                .readings
-                .last()
-                .map(|r| r.timestamp)
-                .unwrap_or_default();
+    let agents: Vec<(usize, u32)> = drivers.iter().map(|&d| (d, d as u32 * 2)).collect();
+    let mut offered = 0usize;
+    let (bytes_transferred, batches, _) =
+        stream_live(world, &agents, segments, duration, None, |t, batch| {
             // Queue-shed offers are fine here: the channel is reliable, so
             // a shed batch simply surfaces as a controller-side gap, the
             // same contract as a lossy link.
-            let _ = sharded.offer_at(arrival, &batch);
+            let _ = sharded.offer_at(t, batch);
+            offered += 1;
             // Drain opportunistically so queues stay shallow (acks are
             // meaningless over a reliable channel and are dropped).
-            if batches.is_multiple_of(64) {
+            if offered.is_multiple_of(64) {
                 sharded.drain()?;
             }
-        }
-        sharded.drain()?;
-        for handle in handles {
-            handle
-                .join()
-                .map_err(|_| CollectError::InvalidConfig("agent thread panicked".into()))?;
-        }
-        Ok(LiveFleetReport {
-            sharded,
-            bytes_transferred,
-            batches,
-        })
+            Ok(())
+        })?;
+    sharded.drain()?;
+    Ok(LiveFleetReport {
+        sharded,
+        bytes_transferred,
+        batches,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::FaultConfig;
     use darnet_sim::WorldConfig;
+
+    fn world() -> Arc<DrivingWorld> {
+        Arc::new(DrivingWorld::new(WorldConfig::default()))
+    }
+
+    /// One segment per driver, all starting at 0 and lasting `duration`.
+    fn segments(behaviors: &[Behavior], duration: f64) -> Vec<Segment<Behavior>> {
+        let segment = |(driver, &behavior)| Segment {
+            driver,
+            behavior,
+            start: 0.0,
+            duration,
+        };
+        behaviors.iter().enumerate().map(segment).collect()
+    }
+
+    fn live(behavior: Behavior, duration: f64, faults: Option<LiveFaults>) -> LiveRunReport {
+        let segments = segments(&[behavior], duration);
+        let config = ControllerConfig::default();
+        run_live_session(&world(), 0, &segments, duration, config, faults).unwrap()
+    }
 
     #[test]
     fn live_session_collects_both_modalities() {
-        let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let segments = vec![Segment {
-            driver: 0,
-            behavior: Behavior::Talking,
-            start: 0.0,
-            duration: 4.0,
-        }];
-        let report =
-            run_live_session(&world, 0, &segments, 4.0, ControllerConfig::default()).unwrap();
+        let report = live(Behavior::Talking, 4.0, None);
         assert!(report.batches > 0);
         assert!(report.bytes_transferred > 1000);
         assert!(report.transports.is_empty());
@@ -469,15 +373,7 @@ mod tests {
 
     #[test]
     fn live_matches_event_driven_grid_density() {
-        let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let segments = vec![Segment {
-            driver: 0,
-            behavior: Behavior::Texting,
-            start: 0.0,
-            duration: 3.0,
-        }];
-        let report =
-            run_live_session(&world, 0, &segments, 3.0, ControllerConfig::default()).unwrap();
+        let report = live(Behavior::Texting, 3.0, None);
         let aligned = report.controller.aligned_imu().unwrap();
         // 3 s at 4 Hz ≈ 13 points (inclusive grid, small edge effects).
         assert!((10..=14).contains(&aligned.len()), "{}", aligned.len());
@@ -485,32 +381,12 @@ mod tests {
 
     #[test]
     fn sharded_live_session_collects_every_driver() {
-        let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let segments = vec![
-            Segment {
-                driver: 0,
-                behavior: Behavior::Talking,
-                start: 0.0,
-                duration: 3.0,
-            },
-            Segment {
-                driver: 1,
-                behavior: Behavior::Texting,
-                start: 0.0,
-                duration: 3.0,
-            },
-        ];
-        let report = run_live_session_sharded(
-            &world,
-            &[0, 1],
-            &segments,
-            3.0,
-            ShardConfig {
-                shards: 3,
-                ..ShardConfig::default()
-            },
-        )
-        .unwrap();
+        let segments = segments(&[Behavior::Talking, Behavior::Texting], 3.0);
+        let config = ShardConfig {
+            shards: 3,
+            ..ShardConfig::default()
+        };
+        let report = run_live_session_sharded(&world(), &[0, 1], &segments, 3.0, config).unwrap();
         assert!(report.batches > 0);
         assert!(report.bytes_transferred > 1000);
         assert_eq!(report.sharded.queued(), 0, "final drain empties queues");
@@ -527,32 +403,17 @@ mod tests {
 
     #[test]
     fn faulty_live_session_recovers_losses_and_dedupes() {
-        let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let segments = vec![Segment {
-            driver: 0,
-            behavior: Behavior::Texting,
-            start: 0.0,
-            duration: 4.0,
-        }];
-        let link = LinkConfig {
+        let mut link = LinkConfig {
             loss: 0.3,
-            faults: FaultConfig {
-                duplicate: 0.3,
-                ..FaultConfig::default()
-            },
             ..LinkConfig::default()
         };
-        let report = run_live_session_faulty(
-            &world,
-            0,
-            &segments,
-            4.0,
-            ControllerConfig::default(),
+        link.faults.duplicate = 0.3;
+        let faults = LiveFaults {
             link,
-            RetransmitConfig::default(),
-            0xFA11,
-        )
-        .unwrap();
+            retransmit: RetransmitConfig::default(),
+            seed: 0xFA11,
+        };
+        let report = live(Behavior::Texting, 4.0, Some(faults));
         assert_eq!(report.transports.len(), 2);
         let retransmits: u64 = report.transports.iter().map(|(t, _)| t.retransmits).sum();
         assert!(retransmits > 0, "30% loss should force retries");
@@ -563,8 +424,7 @@ mod tests {
         for h in report.controller.stream_healths() {
             assert_eq!(h.gaps, 0, "agent {} had gaps", h.agent_id);
         }
-        let clean =
-            run_live_session(&world, 0, &segments, 4.0, ControllerConfig::default()).unwrap();
+        let clean = live(Behavior::Texting, 4.0, None);
         assert_eq!(
             report.controller.ingest_stats().1,
             clean.controller.ingest_stats().1,

@@ -32,7 +32,7 @@ use crate::agent::{AgentConfig, CollectionAgent, RetransmitConfig, SpillConfig};
 use crate::clock::DriftClock;
 use crate::network::{FaultConfig, Link, LinkConfig};
 use crate::runtime::TimedEvent;
-use crate::sensor::{behavior_at, Sensor, SensorReading};
+use crate::sensor::{scripted_at, Sensor, SensorReading};
 use crate::shard::{FleetAdmission, ShardConfig, ShardedController};
 use crate::wire::{decode_ack, decode_batch, encode_ack, encode_batch, Batch};
 use crate::Result;
@@ -202,7 +202,7 @@ impl FleetSensor {
         } else {
             0.0
         };
-        let behavior = behavior_at(&self.script, local);
+        let behavior = scripted_at(&self.script, local, Behavior::NormalDriving);
         Behavior::ALL
             .iter()
             .position(|b| *b == behavior)

@@ -1,27 +1,36 @@
 //! Discrete-event simulation driving full collection campaigns.
 //!
-//! For every driver session the runtime instantiates two collection agents
-//! (camera + phone IMU, as in the paper's deployment), a lossy link per
-//! agent, and one controller. Events — sensor polls, batch flushes, network
-//! deliveries, ack deliveries, retransmission timers, and periodic clock
-//! syncs — are processed in timestamp order from a binary heap, so
-//! campaigns are fully deterministic for a given seed.
+//! A session registers a set of streams — any subset of {IMU, front
+//! camera, side camera} — and the runtime instantiates one collection
+//! agent per stream, a lossy data link and an equally faulty ack link per
+//! agent, one sync link, and one controller. Events — sensor polls, batch
+//! flushes, network deliveries, ack deliveries, retransmission timers,
+//! periodic clock syncs, and injected controller kills and restarts — are
+//! processed in timestamp order from one binary heap, so campaigns are
+//! fully deterministic for a given seed.
+//!
+//! The paper's deployment (a phone IMU plus a dash camera, Table-1
+//! behaviours) is the stream set `[IMU, CAMERA_FRONT]`: [`run_session`],
+//! [`run_session_durable`] and [`run_campaign`] embed the 6-class script
+//! into the canonical taxonomy and run the same loop as
+//! [`run_canonical_session`]. Each entry point fixes its own per-driver
+//! seed domain, so the two families never alias.
 //!
 //! With the reliable transport enabled (the default), every data delivery
-//! is answered with an ack over an equally faulty reverse link; unacked
-//! batches retransmit on the agent's backoff schedule until acked or
-//! abandoned. After the session ends the loop keeps running for
+//! is answered with an ack over the reverse link; unacked batches
+//! retransmit on the agent's backoff schedule until acked or abandoned.
+//! After the session ends the loop keeps running for
 //! [`CampaignConfig::drain_grace`] seconds so in-flight retransmissions can
-//! complete.
+//! complete. With a [`Durability`] store, accepted batches are appended to
+//! the WAL before they are acked, so a controller crash loses nothing an
+//! agent was told is safe.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::sync::Arc;
 
-use darnet_sim::{Behavior, DrivingWorld, Segment};
+use darnet_sim::{Behavior, CanonicalBehavior, DrivingWorld, Segment};
 use darnet_tensor::SplitMix64;
-
-use std::collections::BTreeSet;
 
 use crate::agent::{
     AgentConfig, CollectionAgent, RetransmitConfig, SpillConfig, SpillStats, TransportStats,
@@ -31,11 +40,11 @@ use crate::controller::{
     AlignedImuPoint, Controller, ControllerConfig, FrameRecord, IngestOutcome, StreamHealth,
 };
 use crate::network::{Link, LinkConfig, LinkStats};
-use crate::sensor::{CameraSensor, ImuSensor};
+use crate::sensor::{CameraView, CanonicalCameraSensor, CanonicalImuSensor, Sensor};
 use crate::stream::StreamId;
 use crate::wal::{self, Wal, WalConfig, WalStorage};
 use crate::wire::{decode_ack, decode_batch, encode_ack, encode_batch, Batch};
-use crate::Result;
+use crate::{CollectError, Result};
 
 /// Campaign configuration: sensor cadences, batching, network, clocks.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,7 +61,7 @@ pub struct CampaignConfig {
     pub link: LinkConfig,
     /// Agent clock imperfection model.
     pub clock: ClockConfig,
-    /// Reliable-delivery configuration for both agents.
+    /// Reliable-delivery configuration for every agent.
     pub retransmit: RetransmitConfig,
     /// Agent-side spill-buffer bound (hold-and-resume across controller
     /// blackouts and restarts).
@@ -115,18 +124,6 @@ pub struct Durability {
     pub torn_tail_bytes: usize,
 }
 
-impl Durability {
-    /// WAL-backed durability on a fresh in-memory store with default
-    /// tuning and no injected chaos — the "durable but hermetic" setup
-    /// used by tests and the fleet load generator.
-    pub fn in_memory() -> Self {
-        Durability {
-            storage: Some(Arc::new(crate::wal::MemStorage::new())),
-            ..Durability::default()
-        }
-    }
-}
-
 /// What the chaos machinery observed over one session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosReport {
@@ -158,58 +155,90 @@ pub struct ChaosReport {
     pub wal_snapshots: u64,
     /// Readings agents dropped oldest-first at the spill bound.
     pub spill_dropped: u64,
-    /// High-water mark of either agent's spill buffer.
+    /// High-water mark of any agent's spill buffer.
     pub spill_peak: usize,
 }
 
-/// End-of-session reliability accounting for one driver recording.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SessionTransportReport {
-    /// IMU agent transport counters.
-    pub imu: TransportStats,
-    /// Camera agent transport counters.
-    pub camera: TransportStats,
-    /// IMU data-link fault counters.
-    pub imu_link: LinkStats,
-    /// Camera data-link fault counters.
-    pub camera_link: LinkStats,
-    /// Controller-side health of the IMU stream.
-    pub imu_stream: Option<StreamHealth>,
-    /// Controller-side health of the camera stream.
-    pub camera_stream: Option<StreamHealth>,
-    /// Readings polled by both agents over the session.
+/// End-of-session counters of one stream: its agent's transport, spill
+/// buffer and clock, and its data link.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct StreamTransport {
+    /// The agent's transport counters.
+    pub agent: TransportStats,
+    /// The data link's fault counters.
+    pub link: LinkStats,
+    /// The agent's spill-buffer counters.
+    pub spill: SpillStats,
+    /// Maximum absolute clock error of the agent at its poll instants.
+    pub max_clock_error: f64,
+}
+
+/// The collected output of one driver's session: one aligned IMU stream
+/// plus any number of camera streams, each tagged with its [`StreamId`]
+/// so the analytics registry can address them generically.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MultiStreamRecording {
+    /// Driver id.
+    pub driver: usize,
+    /// Aligned, smoothed IMU stream (empty if the IMU stream was absent
+    /// or delivered nothing).
+    pub imu: Vec<AlignedImuPoint>,
+    /// Per-camera-stream frames in timestamp order, keyed by stream and
+    /// sorted by [`StreamId`].
+    pub frame_streams: Vec<(StreamId, Vec<FrameRecord>)>,
+    /// Controller-side health per registered stream (in registration
+    /// order; `None` if the stream never delivered a batch).
+    pub health: Vec<(StreamId, Option<StreamHealth>)>,
+    /// Maximum absolute agent clock error observed at poll instants
+    /// (diagnostic for the sync ablation): over every registered stream
+    /// for a canonical session, the phone IMU's alone for a Table-1
+    /// session.
+    pub max_clock_error: f64,
+    /// Transport counters per registered stream, in registration order.
+    pub transport: Vec<(StreamId, StreamTransport)>,
+    /// Readings polled by every agent over the session.
     pub readings_polled: u64,
     /// Distinct readings the controller accepted.
     pub readings_ingested: u64,
-    /// IMU agent spill-buffer counters.
-    pub imu_spill: SpillStats,
-    /// Camera agent spill-buffer counters.
-    pub camera_spill: SpillStats,
 }
 
-impl SessionTransportReport {
-    /// `true` when every reading either arrived or is accounted as a gap
-    /// of an abandoned batch — and with retransmission on and nothing
-    /// abandoned, that means zero data loss.
+impl MultiStreamRecording {
+    /// Frames of one camera stream (empty slice if not registered).
+    pub fn frames_for(&self, stream: StreamId) -> &[FrameRecord] {
+        self.frame_streams
+            .iter()
+            .find(|(s, _)| *s == stream)
+            .map(|(_, frames)| frames.as_slice())
+            .unwrap_or(&[])
+    }
+
+    /// Controller health of one stream, if it delivered anything.
+    pub fn health_for(&self, stream: StreamId) -> Option<StreamHealth> {
+        self.health
+            .iter()
+            .find(|(s, _)| *s == stream)
+            .and_then(|(_, h)| *h)
+    }
+
+    /// Transport counters of one stream, if it was registered.
+    pub fn transport_for(&self, stream: StreamId) -> Option<StreamTransport> {
+        self.transport
+            .iter()
+            .find(|(s, _)| *s == stream)
+            .map(|(_, t)| *t)
+    }
+
+    /// `true` when the controller accepted every polled reading — with
+    /// retransmission on and nothing abandoned, that means zero data loss.
     pub fn lossless(&self) -> bool {
         self.readings_ingested == self.readings_polled
     }
-}
 
-/// The collected output of one driver's session.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriverRecording {
-    /// Driver id.
-    pub driver: usize,
-    /// Aligned, smoothed 4 Hz IMU stream.
-    pub imu: Vec<AlignedImuPoint>,
-    /// Camera frames in timestamp order.
-    pub frames: Vec<FrameRecord>,
-    /// Maximum absolute agent clock error observed at poll instants
-    /// (diagnostic for the sync ablation).
-    pub max_clock_error: f64,
-    /// Transport-layer accounting for the session.
-    pub transport: SessionTransportReport,
+    /// Pairs one camera stream's frames with trailing IMU windows of
+    /// `window_len` grid points (see [`pair_frames_with_windows`]).
+    pub fn aligned_tuples_for(&self, stream: StreamId, window_len: usize) -> Vec<AlignedTuple> {
+        pair_frames_with_windows(self.frames_for(stream), &self.imu, window_len)
+    }
 }
 
 /// One frame paired with the IMU window ending at its timestamp — the
@@ -228,10 +257,9 @@ pub struct AlignedTuple {
 }
 
 /// Pairs every frame with its trailing IMU window of `window_len` grid
-/// points — the alignment shared by the legacy two-stream recording and
-/// every camera stream of a canonical multi-stream recording. Frames
-/// that precede all IMU data are skipped (no context to classify from
-/// yet).
+/// points — the alignment applied to every camera stream of a recording.
+/// Frames that precede all IMU data are skipped (no context to classify
+/// from yet).
 pub fn pair_frames_with_windows(
     frames: &[FrameRecord],
     imu: &[AlignedImuPoint],
@@ -262,28 +290,6 @@ pub fn pair_frames_with_windows(
         });
     }
     tuples
-}
-
-impl DriverRecording {
-    /// Pairs every received frame with its trailing IMU window of
-    /// `window_len` grid points. Frames that precede all IMU data are
-    /// skipped (no context to classify from yet).
-    pub fn aligned_tuples(&self, window_len: usize) -> Vec<AlignedTuple> {
-        pair_frames_with_windows(&self.frames, &self.imu, window_len)
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum EventKind {
-    PollImu,
-    PollCamera,
-    Flush(usize), // agent index: 0 = imu, 1 = camera
-    Sync,
-    Deliver(u32),                          // delivery id into pending batch storage
-    DeliverAck { agent: usize, seq: u32 }, // controller ack reaching an agent
-    Retry(usize),                          // ack-timeout check for one agent
-    Crash(usize),                          // kill the controller (index into crash windows)
-    Restart(usize),                        // recover a fresh controller from the WAL
 }
 
 /// A timestamped discrete event with a deterministic tie-break, generic
@@ -320,21 +326,55 @@ impl<K> Ord for TimedEvent<K> {
     }
 }
 
-type Event = TimedEvent<EventKind>;
+/// The paper's deployment: the phone IMU and the dash camera.
+const TABLE1_STREAMS: [StreamId; 2] = [StreamId::IMU, StreamId::CAMERA_FRONT];
 
-/// Runs one driver's session and returns its recording.
+/// Extra seed salt of the canonical entry points, so a canonical session
+/// never replays the random draws of the Table-1 session with the same
+/// driver and seed.
+const CANONICAL_SEED_SALT: u64 = 0xCA40_0515_0A11_ED00;
+
+/// The per-driver seed of a Table-1 session.
+fn driver_seed(config: &CampaignConfig, driver: usize) -> u64 {
+    config.seed ^ (driver as u64).wrapping_mul(0x9E37_79B9)
+}
+
+/// Embeds a Table-1 script into the canonical taxonomy (same class
+/// indices; the canonical sensors render the six base classes bitwise
+/// like the paper's).
+pub(crate) fn lift_script(segments: &[Segment<Behavior>]) -> Vec<Segment<CanonicalBehavior>> {
+    segments
+        .iter()
+        .map(|s| Segment {
+            driver: s.driver,
+            behavior: CanonicalBehavior::from_behavior(s.behavior),
+            start: s.start,
+            duration: s.duration,
+        })
+        .collect()
+}
+
+/// The distinct drivers of a schedule, ascending.
+fn drivers_of<B>(segments: &[Segment<B>]) -> Vec<usize> {
+    let mut drivers: Vec<usize> = segments.iter().map(|s| s.driver).collect();
+    drivers.sort_unstable();
+    drivers.dedup();
+    drivers
+}
+
+/// Runs one driver's Table-1 session over the stream set
+/// `[IMU, CAMERA_FRONT]` and returns its recording.
 ///
 /// # Errors
 ///
-/// Propagates alignment errors (e.g. a session so short no IMU data was
-/// collected) and, in strict transport mode, [`crate::CollectError::Transport`]
-/// failures.
+/// Propagates alignment errors and, in strict transport mode,
+/// [`crate::CollectError::Transport`] failures.
 pub fn run_session(
     world: &Arc<DrivingWorld>,
     driver: usize,
     segments: &[Segment<Behavior>],
     config: &CampaignConfig,
-) -> Result<DriverRecording> {
+) -> Result<MultiStreamRecording> {
     run_session_durable(world, driver, segments, config, &Durability::default()).map(|(rec, _)| rec)
 }
 
@@ -357,142 +397,297 @@ pub fn run_session_durable(
     segments: &[Segment<Behavior>],
     config: &CampaignConfig,
     durability: &Durability,
-) -> Result<(DriverRecording, ChaosReport)> {
-    let session_end = segments
-        .iter()
-        .filter(|s| s.driver == driver)
-        .map(|s| s.end())
-        .fold(0.0f64, f64::max);
-    let script: Vec<Segment<Behavior>> = segments
-        .iter()
-        .filter(|s| s.driver == driver)
-        .copied()
-        .collect();
+) -> Result<(MultiStreamRecording, ChaosReport)> {
+    let (mut rec, chaos) = run_streams(
+        world,
+        driver,
+        &lift_script(segments),
+        config,
+        &TABLE1_STREAMS,
+        &[],
+        durability,
+        driver_seed(config, driver),
+    )?;
+    // The sync ablation times the phone against the controller; the dash
+    // camera runs on the controller's own tablet.
+    rec.max_clock_error = rec
+        .transport_for(StreamId::IMU)
+        .map_or(0.0, |t| t.max_clock_error);
+    Ok((rec, chaos))
+}
 
-    let mut rng = SplitMix64::new(config.seed ^ (driver as u64).wrapping_mul(0x9E37_79B9));
-    let agent_config = AgentConfig {
-        poll_period: config.imu_period,
-        transmit_period: config.transmit_period,
-        spill: config.spill,
+/// Runs the full Table-1 campaign (every driver session in the schedule).
+///
+/// # Errors
+///
+/// Propagates per-session errors.
+pub fn run_campaign(
+    world: &Arc<DrivingWorld>,
+    segments: &[Segment<Behavior>],
+    config: &CampaignConfig,
+) -> Result<Vec<MultiStreamRecording>> {
+    drivers_of(segments)
+        .into_iter()
+        .map(|d| run_session(world, d, segments, config))
+        .collect()
+}
+
+/// Runs one driver's canonical multi-stream session: any subset of
+/// {IMU, front camera, side camera} over the 8-class script, with an
+/// optional per-stream [`LinkConfig`] override (fault injection on one
+/// stream while the others run clean — the multi-view ablation's knob).
+///
+/// # Errors
+///
+/// [`crate::CollectError::InvalidConfig`] for an unknown or repeated
+/// stream id, or a link override naming an unregistered stream, plus
+/// everything the transport/alignment layers return.
+pub fn run_canonical_session(
+    world: &Arc<DrivingWorld>,
+    driver: usize,
+    segments: &[Segment<CanonicalBehavior>],
+    config: &CampaignConfig,
+    streams: &[StreamId],
+    link_overrides: &[(StreamId, LinkConfig)],
+) -> Result<MultiStreamRecording> {
+    run_streams(
+        world,
+        driver,
+        segments,
+        config,
+        streams,
+        link_overrides,
+        &Durability::default(),
+        driver_seed(config, driver) ^ CANONICAL_SEED_SALT,
+    )
+    .map(|(rec, _)| rec)
+}
+
+/// Runs a canonical multi-stream campaign: one
+/// [`run_canonical_session`] per driver in the schedule.
+///
+/// # Errors
+///
+/// Propagates per-session errors.
+pub fn run_canonical_campaign(
+    world: &Arc<DrivingWorld>,
+    segments: &[Segment<CanonicalBehavior>],
+    config: &CampaignConfig,
+    streams: &[StreamId],
+    link_overrides: &[(StreamId, LinkConfig)],
+) -> Result<Vec<MultiStreamRecording>> {
+    drivers_of(segments)
+        .into_iter()
+        .map(|d| run_canonical_session(world, d, segments, config, streams, link_overrides))
+        .collect()
+}
+
+/// Event vocabulary of the session loop. Agents are addressed by index
+/// into the session's stream registration order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum SessionEvent {
+    Poll(usize),
+    Flush(usize),
+    Sync,
+    Deliver(u32),                          // delivery id into pending batch storage
+    DeliverAck { agent: usize, seq: u32 }, // controller ack reaching an agent
+    Retry(usize),                          // ack-timeout check for one agent
+    Crash,                                 // kill the controller
+    Restart,                               // recover a fresh controller from the WAL
+}
+
+/// Builds the agent (sensor, clock, transport) for one registered stream.
+/// The front camera shares the controller tablet (near-perfect clock, as
+/// in the paper's deployment); the IMU phone and the side camera are
+/// independent devices with imperfect clocks.
+fn stream_agent(
+    world: &Arc<DrivingWorld>,
+    driver: usize,
+    script: &[Segment<CanonicalBehavior>],
+    stream: StreamId,
+    config: &CampaignConfig,
+    rng: &mut SplitMix64,
+) -> Result<CollectionAgent> {
+    let (view, clock) = match stream {
+        StreamId::IMU => (None, DriftClock::random(&config.clock, rng)),
+        StreamId::CAMERA_FRONT => (Some(CameraView::Front), DriftClock::new(1e-6, 0.0)),
+        StreamId::CAMERA_SIDE => (
+            Some(CameraView::Side),
+            DriftClock::random(&config.clock, rng),
+        ),
+        other => {
+            return Err(CollectError::InvalidConfig(format!(
+                "no canonical sensor registered for stream {other}"
+            )))
+        }
     };
-    let cam_config = AgentConfig {
-        poll_period: config.camera_period,
-        transmit_period: config.transmit_period,
-        spill: config.spill,
-    };
-    // Phone agent: full clock imperfection. Camera agent runs on the same
-    // tablet as the controller in the paper's deployment, so its clock is
-    // nearly perfect (tiny residual drift).
-    let mut imu_agent = CollectionAgent::new(
-        0,
-        Box::new(ImuSensor::new(
-            Arc::clone(world),
+    let (world, script) = (Arc::clone(world), script.to_vec());
+    let sensor: Box<dyn Sensor> = match view {
+        None => Box::new(CanonicalImuSensor::new(
+            world,
             driver,
-            script.clone(),
+            script,
             config.imu_period,
         )),
-        DriftClock::random(&config.clock, &mut rng),
-        agent_config,
+        Some(view) => {
+            let period = config.camera_period;
+            Box::new(CanonicalCameraSensor::new(
+                world, driver, script, period, view,
+            ))
+        }
+    };
+    let agent_config = AgentConfig {
+        poll_period: sensor.period(),
+        transmit_period: config.transmit_period,
+        spill: config.spill,
+    };
+    Ok(
+        CollectionAgent::new(stream.agent_id(), sensor, clock, agent_config)
+            .with_transport(config.retransmit, rng.next_u64()),
     )
-    .with_transport(config.retransmit, rng.next_u64());
-    let mut cam_agent = CollectionAgent::new(
-        1,
-        Box::new(CameraSensor::new(
-            Arc::clone(world),
-            driver,
-            script.clone(),
-            config.camera_period,
-        )),
-        DriftClock::new(1e-6, 0.0),
-        cam_config,
-    )
-    .with_transport(config.retransmit, rng.next_u64());
-    let mut imu_link = Link::new(config.link, rng.next_u64());
-    let mut cam_link = Link::new(config.link, rng.next_u64());
-    let mut sync_link = Link::new(config.link, rng.next_u64());
-    // Reverse (controller → agent) ack links suffer the same faults.
-    let mut imu_ack_link = Link::new(config.link, rng.next_u64());
-    let mut cam_ack_link = Link::new(config.link, rng.next_u64());
+}
 
-    let mut chaos = ChaosReport::default();
-    // Open the durable controller: a pre-populated store replays here
-    // (resuming a prior incarnation's session), an empty one starts clean.
-    let (mut controller, mut wal) = match &durability.storage {
+/// Rejects a repeated stream id and a link override naming a stream the
+/// session does not register.
+fn validate_streams(streams: &[StreamId], link_overrides: &[(StreamId, LinkConfig)]) -> Result<()> {
+    for (i, s) in streams.iter().enumerate() {
+        if streams[..i].contains(s) {
+            return Err(CollectError::InvalidConfig(format!(
+                "stream {s} registered twice"
+            )));
+        }
+    }
+    match link_overrides.iter().find(|(s, _)| !streams.contains(s)) {
+        Some((s, _)) => Err(CollectError::InvalidConfig(format!(
+            "link override for unregistered stream {s}"
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Opens a controller on the durable store (replaying whatever a prior
+/// incarnation logged), or a fresh in-memory one without a store.
+fn open_controller(
+    config: &CampaignConfig,
+    durability: &Durability,
+    chaos: &mut ChaosReport,
+) -> Result<(Controller, Option<Wal>)> {
+    match &durability.storage {
         Some(storage) => {
             let (controller, wal, report) =
                 wal::open(config.controller, Arc::clone(storage), durability.wal)?;
             chaos.replayed_records += report.records_replayed;
             chaos.torn_tail_bytes_discarded += report.torn_tail_bytes;
-            (controller, Some(wal))
+            Ok((controller, Some(wal)))
         }
-        None => (Controller::new(config.controller), None),
+        None => Ok((Controller::new(config.controller), None)),
+    }
+}
+
+/// Folds a dying incarnation's WAL counters into the chaos report.
+fn retire_wal(chaos: &mut ChaosReport, wal: Option<Wal>) {
+    if let Some(w) = wal {
+        let s = w.stats();
+        chaos.wal_appends += s.appends;
+        chaos.wal_bytes += s.bytes_appended;
+        chaos.wal_segments_rolled += s.segments_rolled;
+        chaos.wal_snapshots += s.snapshots_taken;
+    }
+}
+
+/// The session event loop behind every entry point: one agent per
+/// registered stream, `seed` drawing every clock, transport and link.
+#[allow(clippy::too_many_arguments)] // the session args plus durability and the seed domain
+fn run_streams(
+    world: &Arc<DrivingWorld>,
+    driver: usize,
+    segments: &[Segment<CanonicalBehavior>],
+    config: &CampaignConfig,
+    streams: &[StreamId],
+    link_overrides: &[(StreamId, LinkConfig)],
+    durability: &Durability,
+    seed: u64,
+) -> Result<(MultiStreamRecording, ChaosReport)> {
+    validate_streams(streams, link_overrides)?;
+    let script: Vec<Segment<CanonicalBehavior>> = segments
+        .iter()
+        .filter(|s| s.driver == driver)
+        .copied()
+        .collect();
+    let session_end = script.iter().map(|s| s.end()).fold(0.0f64, f64::max);
+    let link_for = |stream: StreamId| {
+        link_overrides
+            .iter()
+            .find(|(s, _)| *s == stream)
+            .map(|(_, l)| *l)
+            .unwrap_or(config.link)
     };
+
+    let mut rng = SplitMix64::new(seed);
+    let mut agents = Vec::with_capacity(streams.len());
+    for &stream in streams {
+        agents.push(stream_agent(
+            world, driver, &script, stream, config, &mut rng,
+        )?);
+    }
+    let mut links: Vec<Link> = streams
+        .iter()
+        .map(|&s| Link::new(link_for(s), rng.next_u64()))
+        .collect();
+    let mut sync_link = Link::new(config.link, rng.next_u64());
+    // Reverse (controller → agent) ack links suffer the same faults.
+    let mut ack_links: Vec<Link> = streams
+        .iter()
+        .map(|&s| Link::new(link_for(s), rng.next_u64()))
+        .collect();
+
+    let mut chaos = ChaosReport::default();
+    // A pre-populated store replays here (resuming a prior incarnation's
+    // session); an empty one starts clean.
+    let (mut controller, mut wal) = open_controller(config, durability, &mut chaos)?;
     // Controller liveness: while down, deliveries drop and syncs stop.
     let mut down = false;
     // Every (agent, seq) the agents saw acked — the promise the recovery
     // invariant is checked against.
     let mut acked_set: BTreeSet<(u32, u32)> = BTreeSet::new();
-    // Folds a dying incarnation's WAL counters into the chaos report.
-    fn retire_wal(chaos: &mut ChaosReport, wal: Option<Wal>) {
-        if let Some(w) = wal {
-            let s = w.stats();
-            chaos.wal_appends += s.appends;
-            chaos.wal_bytes += s.bytes_appended;
-            chaos.wal_segments_rolled += s.segments_rolled;
-            chaos.wal_snapshots += s.snapshots_taken;
-        }
-    }
 
-    let mut heap = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<Event>, time: f64, kind: EventKind, seq: &mut u64| {
-        heap.push(Event {
+    // Earliest first; equal times pop in push order.
+    let mut heap: BinaryHeap<TimedEvent<SessionEvent>> = BinaryHeap::new();
+    let mut pushed = 0u64;
+    let mut push = |heap: &mut BinaryHeap<_>, time: f64, kind: SessionEvent| {
+        heap.push(TimedEvent {
             time,
-            seq: *seq,
+            seq: pushed,
             kind,
         });
-        *seq += 1;
+        pushed += 1;
     };
-    push(&mut heap, 0.0, EventKind::PollImu, &mut seq);
-    push(&mut heap, 0.0, EventKind::PollCamera, &mut seq);
-    push(
-        &mut heap,
-        config.transmit_period,
-        EventKind::Flush(0),
-        &mut seq,
-    );
-    push(
-        &mut heap,
-        config.transmit_period,
-        EventKind::Flush(1),
-        &mut seq,
-    );
+    for i in 0..agents.len() {
+        push(&mut heap, 0.0, SessionEvent::Poll(i));
+        push(&mut heap, config.transmit_period, SessionEvent::Flush(i));
+    }
     if config.sync_enabled {
         // Startup handshake: when the controller opens the two-way channel
         // it immediately distributes its UTC, so agents begin the session
         // already synchronized (§4.1). Periodic re-syncs then follow.
         let measured = sync_link.mean_delay();
         if let Some(arrival) = sync_link.transmit(-measured) {
-            imu_agent.handle_sync(arrival, -measured, measured);
-            cam_agent.handle_sync(arrival, -measured, measured);
+            for agent in &mut agents {
+                agent.handle_sync(arrival, -measured, measured);
+            }
         }
-        push(
-            &mut heap,
-            config.controller.sync_period,
-            EventKind::Sync,
-            &mut seq,
-        );
+        push(&mut heap, config.controller.sync_period, SessionEvent::Sync);
     }
-    for (i, window) in durability.crashes.iter().enumerate() {
-        push(&mut heap, window.kill_t, EventKind::Crash(i), &mut seq);
-        push(&mut heap, window.restart_t, EventKind::Restart(i), &mut seq);
+    for window in &durability.crashes {
+        push(&mut heap, window.kill_t, SessionEvent::Crash);
+        push(&mut heap, window.restart_t, SessionEvent::Restart);
     }
 
     // Batches awaiting delivery. Entries stay allocated so duplicated
     // arrivals (link-level duplication) can read them again; the
     // controller's sequence dedupe keeps re-delivery harmless.
     let mut pending: Vec<Batch> = Vec::new();
-    let mut max_clock_error = 0.0f64;
+    let mut clock_errors = vec![0.0f64; agents.len()];
     let reliable = config.retransmit.enabled;
 
     while let Some(event) = heap.pop() {
@@ -501,80 +696,58 @@ pub fn run_session_durable(
             break;
         }
         match event.kind {
-            EventKind::PollImu => {
+            SessionEvent::Poll(i) => {
                 if t <= session_end {
-                    imu_agent.poll(t)?;
-                    max_clock_error = max_clock_error.max(imu_agent.clock_error(t).abs());
-                    push(
-                        &mut heap,
-                        t + config.imu_period,
-                        EventKind::PollImu,
-                        &mut seq,
-                    );
+                    agents[i].poll(t)?;
+                    clock_errors[i] = clock_errors[i].max(agents[i].clock_error(t).abs());
+                    let next = t + agents[i].config().poll_period;
+                    push(&mut heap, next, SessionEvent::Poll(i));
                 }
             }
-            EventKind::PollCamera => {
-                if t <= session_end {
-                    cam_agent.poll(t)?;
-                    push(
-                        &mut heap,
-                        t + config.camera_period,
-                        EventKind::PollCamera,
-                        &mut seq,
-                    );
-                }
-            }
-            EventKind::Flush(which) => {
-                let (agent, link) = if which == 0 {
-                    (&mut imu_agent, &mut imu_link)
-                } else {
-                    (&mut cam_agent, &mut cam_link)
-                };
-                if let Some(batch) = agent.flush_at(t)? {
+            SessionEvent::Flush(i) => {
+                if let Some(batch) = agents[i].flush_at(t)? {
                     let id = pending.len() as u32;
                     pending.push(batch);
-                    for arrival in link.transmit_all(t) {
-                        push(&mut heap, arrival, EventKind::Deliver(id), &mut seq);
+                    for arrival in links[i].transmit_all(t) {
+                        push(&mut heap, arrival, SessionEvent::Deliver(id));
                     }
                 }
                 if reliable {
-                    if let Some(deadline) = agent.next_deadline() {
-                        push(&mut heap, deadline, EventKind::Retry(which), &mut seq);
+                    if let Some(deadline) = agents[i].next_deadline() {
+                        push(&mut heap, deadline, SessionEvent::Retry(i));
                     }
                 }
                 if t <= session_end {
                     push(
                         &mut heap,
                         t + config.transmit_period,
-                        EventKind::Flush(which),
-                        &mut seq,
+                        SessionEvent::Flush(i),
                     );
                 }
             }
-            EventKind::Sync => {
+            SessionEvent::Sync => {
                 // Controller (master) sends its UTC; the agent applies
                 // master UTC + empirically measured delay on receipt. A
                 // dead controller sends nothing (agents coast on drift).
                 if !down {
+                    // Delivered synchronously: sync messages are tiny and
+                    // modelled without reordering against data.
                     if let Some(arrival) = sync_link.transmit(t) {
-                        // Deliver synchronously here: sync messages are
-                        // tiny and modelled without reordering against
-                        // data.
                         let measured = sync_link.mean_delay();
-                        imu_agent.handle_sync(arrival, t, measured);
-                        cam_agent.handle_sync(arrival, t, measured);
+                        for agent in &mut agents {
+                            agent.handle_sync(arrival, t, measured);
+                        }
                     }
                 }
                 if t <= session_end {
                     push(
                         &mut heap,
                         t + config.controller.sync_period,
-                        EventKind::Sync,
-                        &mut seq,
+                        SessionEvent::Sync,
                     );
                 }
             }
-            EventKind::Deliver(id) => {
+            SessionEvent::Deliver(id) => {
                 if down {
                     // The controller process is dead: the delivery is
                     // lost and never acked — the agent's retransmission
@@ -605,54 +778,39 @@ pub fn run_session_durable(
                     // duplicates included, since a duplicate usually
                     // means the previous ack was lost.
                     let ack = decode_ack(encode_ack(&ack))?;
-                    let agent_idx = ack.agent_id as usize;
-                    let ack_link = if agent_idx == 0 {
-                        &mut imu_ack_link
-                    } else {
-                        &mut cam_ack_link
-                    };
-                    for arrival in ack_link.transmit_all(t) {
-                        push(
-                            &mut heap,
-                            arrival,
-                            EventKind::DeliverAck {
-                                agent: agent_idx,
-                                seq: ack.seq,
-                            },
-                            &mut seq,
-                        );
+                    if let Some(idx) = streams.iter().position(|s| s.agent_id() == ack.agent_id) {
+                        for arrival in ack_links[idx].transmit_all(t) {
+                            push(
+                                &mut heap,
+                                arrival,
+                                SessionEvent::DeliverAck {
+                                    agent: idx,
+                                    seq: ack.seq,
+                                },
+                            );
+                        }
                     }
                 }
             }
-            EventKind::DeliverAck { agent, seq: acked } => {
-                let a = if agent == 0 {
-                    &mut imu_agent
-                } else {
-                    &mut cam_agent
-                };
-                a.handle_ack(acked);
+            SessionEvent::DeliverAck { agent, seq: acked } => {
+                agents[agent].handle_ack(acked);
                 // The agent now believes this batch is durable — exactly
                 // the promise the recovery invariant checks.
-                acked_set.insert((agent as u32, acked));
+                acked_set.insert((streams[agent].agent_id(), acked));
             }
-            EventKind::Retry(which) => {
-                let (agent, link) = if which == 0 {
-                    (&mut imu_agent, &mut imu_link)
-                } else {
-                    (&mut cam_agent, &mut cam_link)
-                };
-                for batch in agent.due_retransmits(t)? {
+            SessionEvent::Retry(i) => {
+                for batch in agents[i].due_retransmits(t)? {
                     let id = pending.len() as u32;
                     pending.push(batch);
-                    for arrival in link.transmit_all(t) {
-                        push(&mut heap, arrival, EventKind::Deliver(id), &mut seq);
+                    for arrival in links[i].transmit_all(t) {
+                        push(&mut heap, arrival, SessionEvent::Deliver(id));
                     }
                 }
-                if let Some(deadline) = agent.next_deadline() {
-                    push(&mut heap, deadline, EventKind::Retry(which), &mut seq);
+                if let Some(deadline) = agents[i].next_deadline() {
+                    push(&mut heap, deadline, SessionEvent::Retry(i));
                 }
             }
-            EventKind::Crash(_) => {
+            SessionEvent::Crash => {
                 if down {
                     continue;
                 }
@@ -674,39 +832,27 @@ pub fn run_session_durable(
                 controller = Controller::new(config.controller);
                 down = true;
             }
-            EventKind::Restart(_) => {
+            SessionEvent::Restart => {
                 if !down {
                     continue;
                 }
                 down = false;
                 chaos.recoveries += 1;
-                if let Some(storage) = &durability.storage {
-                    let (recovered, new_wal, report) =
-                        wal::open(config.controller, Arc::clone(storage), durability.wal)?;
-                    chaos.replayed_records += report.records_replayed;
-                    chaos.torn_tail_bytes_discarded += report.torn_tail_bytes;
-                    controller = recovered;
-                    wal = Some(new_wal);
-                }
                 // Without storage the fresh (empty) controller from the
                 // crash simply resumes — the negative control that shows
                 // what the WAL is for.
+                if durability.storage.is_some() {
+                    (controller, wal) = open_controller(config, durability, &mut chaos)?;
+                }
             }
         }
     }
 
     // Session ended mid-outage: run the recovery that the next controller
     // incarnation would, so the recording reflects the durable state.
-    if down {
-        if let Some(storage) = &durability.storage {
-            chaos.recoveries += 1;
-            let (recovered, new_wal, report) =
-                wal::open(config.controller, Arc::clone(storage), durability.wal)?;
-            chaos.replayed_records += report.records_replayed;
-            chaos.torn_tail_bytes_discarded += report.torn_tail_bytes;
-            controller = recovered;
-            wal = Some(new_wal);
-        }
+    if down && durability.storage.is_some() {
+        chaos.recoveries += 1;
+        (controller, wal) = open_controller(config, durability, &mut chaos)?;
     }
     retire_wal(&mut chaos, wal.take());
 
@@ -717,405 +863,10 @@ pub fn run_session_durable(
         .iter()
         .filter(|&&(agent, s)| !controller.has_seen(agent, s))
         .count() as u64;
-    chaos.spill_dropped =
-        imu_agent.spill_stats().dropped_oldest + cam_agent.spill_stats().dropped_oldest;
-    chaos.spill_peak = imu_agent
-        .spill_stats()
-        .peak_buffered
-        .max(cam_agent.spill_stats().peak_buffered);
-
-    let transport = SessionTransportReport {
-        imu: imu_agent.transport_stats(),
-        camera: cam_agent.transport_stats(),
-        imu_link: imu_link.link_stats(),
-        camera_link: cam_link.link_stats(),
-        imu_stream: controller.stream_health(0),
-        camera_stream: controller.stream_health(1),
-        readings_polled: imu_agent.poll_count() + cam_agent.poll_count(),
-        readings_ingested: controller.ingest_stats().1,
-        imu_spill: imu_agent.spill_stats(),
-        camera_spill: cam_agent.spill_stats(),
-    };
-    let imu = controller.aligned_imu()?;
-    let frames = controller.frames_sorted();
-    Ok((
-        DriverRecording {
-            driver,
-            imu,
-            frames,
-            max_clock_error,
-            transport,
-        },
-        chaos,
-    ))
-}
-
-/// Runs the full campaign (every driver session in the schedule).
-///
-/// # Errors
-///
-/// Propagates per-session errors.
-pub fn run_campaign(
-    world: &Arc<DrivingWorld>,
-    segments: &[Segment<Behavior>],
-    config: &CampaignConfig,
-) -> Result<Vec<DriverRecording>> {
-    let mut drivers: Vec<usize> = segments.iter().map(|s| s.driver).collect();
-    drivers.sort_unstable();
-    drivers.dedup();
-    drivers
-        .into_iter()
-        .map(|d| run_session(world, d, segments, config))
-        .collect()
-}
-
-/// Runs the full campaign with durability and chaos. Each driver session
-/// is an independent controller, so `durability_for` supplies a
-/// [`Durability`] (typically with its own storage) per driver.
-///
-/// # Errors
-///
-/// Propagates per-session errors, including the durability layer's
-/// [`crate::CollectError::Wal`] / [`crate::CollectError::Recovery`].
-pub fn run_campaign_durable(
-    world: &Arc<DrivingWorld>,
-    segments: &[Segment<Behavior>],
-    config: &CampaignConfig,
-    mut durability_for: impl FnMut(usize) -> Durability,
-) -> Result<Vec<(DriverRecording, ChaosReport)>> {
-    let mut drivers: Vec<usize> = segments.iter().map(|s| s.driver).collect();
-    drivers.sort_unstable();
-    drivers.dedup();
-    drivers
-        .into_iter()
-        .map(|d| {
-            let durability = durability_for(d);
-            run_session_durable(world, d, segments, config, &durability)
-        })
-        .collect()
-}
-
-/// The collected output of one driver's canonical multi-stream session:
-/// one aligned IMU stream plus any number of camera streams, each tagged
-/// with its [`StreamId`] so the analytics registry can address them
-/// generically.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MultiStreamRecording {
-    /// Driver id.
-    pub driver: usize,
-    /// Aligned, smoothed IMU stream (empty if the IMU stream was absent
-    /// or delivered nothing).
-    pub imu: Vec<AlignedImuPoint>,
-    /// Per-camera-stream frames in timestamp order, keyed by stream and
-    /// sorted by [`StreamId`].
-    pub frame_streams: Vec<(StreamId, Vec<FrameRecord>)>,
-    /// Controller-side health per registered stream (in registration
-    /// order; `None` if the stream never delivered a batch).
-    pub health: Vec<(StreamId, Option<StreamHealth>)>,
-    /// Maximum absolute agent clock error observed at poll instants.
-    pub max_clock_error: f64,
-}
-
-impl MultiStreamRecording {
-    /// Frames of one camera stream (empty slice if not registered).
-    pub fn frames_for(&self, stream: StreamId) -> &[FrameRecord] {
-        self.frame_streams
-            .iter()
-            .find(|(s, _)| *s == stream)
-            .map(|(_, frames)| frames.as_slice())
-            .unwrap_or(&[])
-    }
-
-    /// Controller health of one stream, if it delivered anything.
-    pub fn health_for(&self, stream: StreamId) -> Option<StreamHealth> {
-        self.health
-            .iter()
-            .find(|(s, _)| *s == stream)
-            .and_then(|(_, h)| *h)
-    }
-
-    /// Pairs one camera stream's frames with trailing IMU windows — the
-    /// same alignment as [`DriverRecording::aligned_tuples`], applied per
-    /// stream.
-    pub fn aligned_tuples_for(&self, stream: StreamId, window_len: usize) -> Vec<AlignedTuple> {
-        pair_frames_with_windows(self.frames_for(stream), &self.imu, window_len)
-    }
-}
-
-/// Event vocabulary of the canonical N-agent session loop. Unlike the
-/// legacy [`EventKind`], agents are addressed by index into the session's
-/// stream registration order, so any number of streams share one loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum CanonEvent {
-    Poll(usize),
-    Flush(usize),
-    Sync,
-    Deliver(u32),
-    DeliverAck { agent: usize, seq: u32 },
-    Retry(usize),
-}
-
-/// Builds the sensor, clock, and poll period for one registered stream.
-/// The front camera shares the controller tablet (near-perfect clock, as
-/// in the legacy session); the IMU phone and the side camera are
-/// independent devices with imperfect clocks.
-fn canonical_agent(
-    world: &Arc<DrivingWorld>,
-    driver: usize,
-    script: &[Segment<darnet_sim::CanonicalBehavior>],
-    stream: StreamId,
-    config: &CampaignConfig,
-    rng: &mut SplitMix64,
-) -> Result<(CollectionAgent, f64)> {
-    use crate::sensor::{CameraView, CanonicalCameraSensor, CanonicalImuSensor};
-    let (sensor, clock, period): (Box<dyn crate::sensor::Sensor>, DriftClock, f64) = match stream {
-        StreamId::IMU => (
-            Box::new(CanonicalImuSensor::new(
-                Arc::clone(world),
-                driver,
-                script.to_vec(),
-                config.imu_period,
-            )),
-            DriftClock::random(&config.clock, rng),
-            config.imu_period,
-        ),
-        StreamId::CAMERA_FRONT => (
-            Box::new(CanonicalCameraSensor::new(
-                Arc::clone(world),
-                driver,
-                script.to_vec(),
-                config.camera_period,
-                CameraView::Front,
-            )),
-            DriftClock::new(1e-6, 0.0),
-            config.camera_period,
-        ),
-        StreamId::CAMERA_SIDE => (
-            Box::new(CanonicalCameraSensor::new(
-                Arc::clone(world),
-                driver,
-                script.to_vec(),
-                config.camera_period,
-                CameraView::Side,
-            )),
-            DriftClock::random(&config.clock, rng),
-            config.camera_period,
-        ),
-        other => {
-            return Err(crate::CollectError::InvalidConfig(format!(
-                "no canonical sensor registered for stream {other}"
-            )))
-        }
-    };
-    let agent_config = AgentConfig {
-        poll_period: period,
-        transmit_period: config.transmit_period,
-        spill: config.spill,
-    };
-    let agent = CollectionAgent::new(stream.agent_id(), sensor, clock, agent_config)
-        .with_transport(config.retransmit, rng.next_u64());
-    Ok((agent, period))
-}
-
-/// Runs one driver's canonical multi-stream session: any subset of
-/// {IMU, front camera, side camera} over the 8-class script, with an
-/// optional per-stream [`LinkConfig`] override (fault injection on one
-/// stream while the others run clean — the multi-view ablation's knob).
-///
-/// The legacy two-agent [`run_session`] is untouched; this is the
-/// generalized N-agent loop the modality registry consumes.
-///
-/// # Errors
-///
-/// [`crate::CollectError::InvalidConfig`] for an unknown stream id, plus
-/// everything the transport/alignment layers return.
-pub fn run_canonical_session(
-    world: &Arc<DrivingWorld>,
-    driver: usize,
-    segments: &[Segment<darnet_sim::CanonicalBehavior>],
-    config: &CampaignConfig,
-    streams: &[StreamId],
-    link_overrides: &[(StreamId, LinkConfig)],
-) -> Result<MultiStreamRecording> {
-    let session_end = segments
-        .iter()
-        .filter(|s| s.driver == driver)
-        .map(|s| s.end())
-        .fold(0.0f64, f64::max);
-    let script: Vec<Segment<darnet_sim::CanonicalBehavior>> = segments
-        .iter()
-        .filter(|s| s.driver == driver)
-        .copied()
-        .collect();
-    let link_for = |stream: StreamId| {
-        link_overrides
-            .iter()
-            .find(|(s, _)| *s == stream)
-            .map(|(_, l)| *l)
-            .unwrap_or(config.link)
-    };
-
-    // A distinct seed domain from the legacy session so the two paths
-    // never alias, while staying per-driver deterministic.
-    let mut rng = SplitMix64::new(
-        config.seed ^ (driver as u64).wrapping_mul(0x9E37_79B9) ^ 0xCA40_0515_0A11_ED00,
-    );
-    let mut agents = Vec::with_capacity(streams.len());
-    let mut periods = Vec::with_capacity(streams.len());
-    for &stream in streams {
-        let (agent, period) = canonical_agent(world, driver, &script, stream, config, &mut rng)?;
-        agents.push(agent);
-        periods.push(period);
-    }
-    let mut links: Vec<Link> = streams
-        .iter()
-        .map(|&s| Link::new(link_for(s), rng.next_u64()))
-        .collect();
-    let mut sync_link = Link::new(config.link, rng.next_u64());
-    let mut ack_links: Vec<Link> = streams
-        .iter()
-        .map(|&s| Link::new(link_for(s), rng.next_u64()))
-        .collect();
-    let mut controller = Controller::new(config.controller);
-
-    let mut heap: BinaryHeap<TimedEvent<CanonEvent>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    let push = |heap: &mut BinaryHeap<TimedEvent<CanonEvent>>,
-                time: f64,
-                kind: CanonEvent,
-                seq: &mut u64| {
-        heap.push(TimedEvent {
-            time,
-            seq: *seq,
-            kind,
-        });
-        *seq += 1;
-    };
-    for i in 0..agents.len() {
-        push(&mut heap, 0.0, CanonEvent::Poll(i), &mut seq);
-        push(
-            &mut heap,
-            config.transmit_period,
-            CanonEvent::Flush(i),
-            &mut seq,
-        );
-    }
-    if config.sync_enabled {
-        // Startup handshake, as in the legacy session (§4.1).
-        let measured = sync_link.mean_delay();
-        if let Some(arrival) = sync_link.transmit(-measured) {
-            for agent in &mut agents {
-                agent.handle_sync(arrival, -measured, measured);
-            }
-        }
-        push(
-            &mut heap,
-            config.controller.sync_period,
-            CanonEvent::Sync,
-            &mut seq,
-        );
-    }
-
-    let mut pending: Vec<Batch> = Vec::new();
-    let mut max_clock_error = 0.0f64;
-    let reliable = config.retransmit.enabled;
-
-    while let Some(event) = heap.pop() {
-        let t = event.time;
-        if t > session_end + config.transmit_period + config.drain_grace {
-            break;
-        }
-        match event.kind {
-            CanonEvent::Poll(i) => {
-                if t <= session_end {
-                    agents[i].poll(t)?;
-                    max_clock_error = max_clock_error.max(agents[i].clock_error(t).abs());
-                    push(&mut heap, t + periods[i], CanonEvent::Poll(i), &mut seq);
-                }
-            }
-            CanonEvent::Flush(i) => {
-                if let Some(batch) = agents[i].flush_at(t)? {
-                    let id = pending.len() as u32;
-                    pending.push(batch);
-                    for arrival in links[i].transmit_all(t) {
-                        push(&mut heap, arrival, CanonEvent::Deliver(id), &mut seq);
-                    }
-                }
-                if reliable {
-                    if let Some(deadline) = agents[i].next_deadline() {
-                        push(&mut heap, deadline, CanonEvent::Retry(i), &mut seq);
-                    }
-                }
-                if t <= session_end {
-                    push(
-                        &mut heap,
-                        t + config.transmit_period,
-                        CanonEvent::Flush(i),
-                        &mut seq,
-                    );
-                }
-            }
-            CanonEvent::Sync => {
-                if let Some(arrival) = sync_link.transmit(t) {
-                    let measured = sync_link.mean_delay();
-                    for agent in &mut agents {
-                        agent.handle_sync(arrival, t, measured);
-                    }
-                }
-                if t <= session_end {
-                    push(
-                        &mut heap,
-                        t + config.controller.sync_period,
-                        CanonEvent::Sync,
-                        &mut seq,
-                    );
-                }
-            }
-            CanonEvent::Deliver(id) => {
-                let decoded = decode_batch(encode_batch(&pending[id as usize]))?;
-                let ack = Controller::ack_for(&decoded);
-                let outcome = controller.offer_at(t, &decoded, None)?;
-                if outcome == IngestOutcome::Shed {
-                    continue;
-                }
-                if reliable {
-                    let ack = decode_ack(encode_ack(&ack))?;
-                    if let Some(idx) = streams.iter().position(|s| s.agent_id() == ack.agent_id) {
-                        for arrival in ack_links[idx].transmit_all(t) {
-                            push(
-                                &mut heap,
-                                arrival,
-                                CanonEvent::DeliverAck {
-                                    agent: idx,
-                                    seq: ack.seq,
-                                },
-                                &mut seq,
-                            );
-                        }
-                    }
-                }
-            }
-            CanonEvent::DeliverAck { agent, seq: acked } => {
-                agents[agent].handle_ack(acked);
-            }
-            CanonEvent::Retry(i) => {
-                for batch in agents[i].due_retransmits(t)? {
-                    let id = pending.len() as u32;
-                    pending.push(batch);
-                    for arrival in links[i].transmit_all(t) {
-                        push(&mut heap, arrival, CanonEvent::Deliver(id), &mut seq);
-                    }
-                }
-                if let Some(deadline) = agents[i].next_deadline() {
-                    push(&mut heap, deadline, CanonEvent::Retry(i), &mut seq);
-                }
-            }
-        }
-    }
 
     let imu = match controller.aligned_imu() {
         Ok(points) => points,
-        Err(crate::CollectError::NoData(_)) => Vec::new(),
+        Err(CollectError::NoData(_)) => Vec::new(),
         Err(e) => return Err(e),
     };
     let mut frame_streams: Vec<(StreamId, Vec<FrameRecord>)> = streams
@@ -1126,72 +877,91 @@ pub fn run_canonical_session(
     frame_streams.sort_by_key(|(s, _)| *s);
     let health = streams
         .iter()
-        .map(|&s| (s, controller.stream_health_by_id(s)))
+        .map(|&s| (s, controller.stream_health(s.agent_id())))
         .collect();
-    Ok(MultiStreamRecording {
+    let transport: Vec<(StreamId, StreamTransport)> = (0..streams.len())
+        .map(|i| {
+            let counters = StreamTransport {
+                agent: agents[i].transport_stats(),
+                link: links[i].link_stats(),
+                spill: agents[i].spill_stats(),
+                max_clock_error: clock_errors[i],
+            };
+            (streams[i], counters)
+        })
+        .collect();
+    for (_, t) in &transport {
+        chaos.spill_dropped += t.spill.dropped_oldest;
+        chaos.spill_peak = chaos.spill_peak.max(t.spill.peak_buffered);
+    }
+    let recording = MultiStreamRecording {
         driver,
         imu,
         frame_streams,
         health,
-        max_clock_error,
-    })
-}
-
-/// Runs a canonical multi-stream campaign: one
-/// [`run_canonical_session`] per driver in the schedule.
-///
-/// # Errors
-///
-/// Propagates per-session errors.
-pub fn run_canonical_campaign(
-    world: &Arc<DrivingWorld>,
-    segments: &[Segment<darnet_sim::CanonicalBehavior>],
-    config: &CampaignConfig,
-    streams: &[StreamId],
-    link_overrides: &[(StreamId, LinkConfig)],
-) -> Result<Vec<MultiStreamRecording>> {
-    let mut drivers: Vec<usize> = segments.iter().map(|s| s.driver).collect();
-    drivers.sort_unstable();
-    drivers.dedup();
-    drivers
-        .into_iter()
-        .map(|d| run_canonical_session(world, d, segments, config, streams, link_overrides))
-        .collect()
+        max_clock_error: clock_errors.into_iter().fold(0.0, f64::max),
+        transport,
+        readings_polled: agents.iter().map(CollectionAgent::poll_count).sum(),
+        readings_ingested: controller.ingest_stats().1,
+    };
+    Ok((recording, chaos))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::FaultConfig;
+    use crate::wal::MemStorage;
     use darnet_sim::WorldConfig;
 
-    fn short_schedule() -> Vec<Segment<Behavior>> {
-        vec![
-            Segment {
-                driver: 0,
-                behavior: Behavior::NormalDriving,
-                start: 0.0,
-                duration: 5.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: Behavior::Texting,
-                start: 5.0,
-                duration: 5.0,
-            },
-        ]
-    }
+    const FRONT: StreamId = StreamId::CAMERA_FRONT;
+    const THREE_STREAMS: [StreamId; 3] = [StreamId::IMU, FRONT, StreamId::CAMERA_SIDE];
 
     fn world() -> Arc<DrivingWorld> {
         Arc::new(DrivingWorld::new(WorldConfig::default()))
     }
 
+    /// Back-to-back driver-0 segments, one per class, `len` seconds each.
+    fn script<B: Copy>(classes: &[B], len: f64) -> Vec<Segment<B>> {
+        (0..classes.len())
+            .map(|i| Segment {
+                driver: 0,
+                behavior: classes[i],
+                start: i as f64 * len,
+                duration: len,
+            })
+            .collect()
+    }
+
+    fn short_schedule() -> Vec<Segment<Behavior>> {
+        script(&[Behavior::NormalDriving, Behavior::Texting], 5.0)
+    }
+
+    fn session(config: &CampaignConfig) -> MultiStreamRecording {
+        run_session(&world(), 0, &short_schedule(), config).unwrap()
+    }
+
+    fn durable(
+        config: &CampaignConfig,
+        durability: &Durability,
+    ) -> (MultiStreamRecording, ChaosReport) {
+        run_session_durable(&world(), 0, &short_schedule(), config, durability).unwrap()
+    }
+
+    fn canonical(overrides: &[(StreamId, LinkConfig)]) -> MultiStreamRecording {
+        use darnet_sim::CanonicalBehavior::*;
+        let schedule = script(&[NormalDriving, HeadDroop, Texting], 4.0);
+        let config = CampaignConfig::default();
+        run_canonical_session(&world(), 0, &schedule, &config, &THREE_STREAMS, overrides).unwrap()
+    }
+
     #[test]
     fn session_produces_aligned_imu_and_frames() {
-        let rec = run_session(&world(), 0, &short_schedule(), &CampaignConfig::default()).unwrap();
+        let rec = session(&CampaignConfig::default());
         // 10 s at 4 Hz ≈ 40 grid points; 10 s at 4 fps ≈ 40 frames.
         assert!(rec.imu.len() >= 35, "imu points {}", rec.imu.len());
-        assert!(rec.frames.len() >= 35, "frames {}", rec.frames.len());
+        let frames = rec.frames_for(FRONT);
+        assert!(frames.len() >= 35, "frames {}", frames.len());
         assert_eq!(rec.driver, 0);
         // Grid is strictly increasing.
         assert!(rec.imu.windows(2).all(|w| w[0].t < w[1].t));
@@ -1199,12 +969,12 @@ mod tests {
 
     #[test]
     fn aligned_tuples_pair_frames_with_trailing_windows() {
-        let rec = run_session(&world(), 0, &short_schedule(), &CampaignConfig::default()).unwrap();
+        let rec = session(&CampaignConfig::default());
         let window_len = 20;
         let features = rec.imu[0].features.len();
-        let tuples = rec.aligned_tuples(window_len);
+        let tuples = rec.aligned_tuples_for(FRONT, window_len);
         assert!(!tuples.is_empty());
-        assert!(tuples.len() <= rec.frames.len());
+        assert!(tuples.len() <= rec.frames_for(FRONT).len());
         for tup in &tuples {
             assert_eq!(tup.window.len(), window_len * features);
             // The window ends at the last grid point not after the frame.
@@ -1223,26 +993,13 @@ mod tests {
             &first.window[features..2 * features]
         );
         // Degenerate inputs produce no tuples rather than panicking.
-        assert!(rec.aligned_tuples(0).is_empty());
-        let empty = DriverRecording {
-            imu: Vec::new(),
-            ..rec.clone()
-        };
-        assert!(empty.aligned_tuples(window_len).is_empty());
-    }
-
-    #[test]
-    fn campaign_is_deterministic() {
-        let config = CampaignConfig::default();
-        let a = run_campaign(&world(), &short_schedule(), &config).unwrap();
-        let b = run_campaign(&world(), &short_schedule(), &config).unwrap();
-        assert_eq!(a, b);
+        assert!(rec.aligned_tuples_for(FRONT, 0).is_empty());
+        assert!(pair_frames_with_windows(rec.frames_for(FRONT), &[], window_len).is_empty());
     }
 
     #[test]
     fn sync_keeps_clock_error_small() {
-        let config = CampaignConfig::default();
-        let rec = run_session(&world(), 0, &short_schedule(), &config).unwrap();
+        let rec = session(&CampaignConfig::default());
         // With 5 s re-sync, error is bounded by drift × period + jitter.
         assert!(
             rec.max_clock_error < 0.02,
@@ -1253,34 +1010,39 @@ mod tests {
 
     #[test]
     fn disabling_sync_leaves_large_clock_error() {
-        let config = CampaignConfig {
+        let rec = session(&CampaignConfig {
             sync_enabled: false,
             ..CampaignConfig::default()
-        };
-        let rec = run_session(&world(), 0, &short_schedule(), &config).unwrap();
+        });
         // Initial offset up to 0.25 s is never corrected.
-        let synced =
-            run_session(&world(), 0, &short_schedule(), &CampaignConfig::default()).unwrap();
+        let synced = session(&CampaignConfig::default());
         assert!(rec.max_clock_error > synced.max_clock_error);
+        // A Table-1 recording reports the phone's clock; the dash camera
+        // shares the controller's tablet.
+        let imu = rec.transport_for(StreamId::IMU).unwrap();
+        assert_eq!(rec.max_clock_error, imu.max_clock_error);
     }
 
     #[test]
     fn lossy_network_without_retransmission_drops_data() {
-        // The legacy fire-and-forget mode: losses become gaps the
-        // controller merely accounts for.
+        // Fire-and-forget mode: losses become gaps the controller merely
+        // accounts for.
         let mut config = CampaignConfig::default();
         config.link.loss = 0.2;
         config.retransmit = RetransmitConfig::disabled();
-        let rec = run_session(&world(), 0, &short_schedule(), &config).unwrap();
-        let lossless =
-            run_session(&world(), 0, &short_schedule(), &CampaignConfig::default()).unwrap();
+        let rec = session(&config);
+        let lossless = session(&CampaignConfig::default());
         // Fewer frames arrive, but the pipeline interpolates through gaps.
-        assert!(rec.frames.len() < lossless.frames.len());
+        assert!(rec.frames_for(FRONT).len() < lossless.frames_for(FRONT).len());
         assert!(!rec.imu.is_empty());
-        assert!(!rec.transport.lossless());
+        assert!(!rec.lossless());
         // The controller's gap accounting notices the missing batches.
-        let gaps = rec.transport.imu_stream.map(|h| h.gaps).unwrap_or(0)
-            + rec.transport.camera_stream.map(|h| h.gaps).unwrap_or(0);
+        let gaps: u64 = rec
+            .health
+            .iter()
+            .filter_map(|(_, h)| *h)
+            .map(|h| h.gaps)
+            .sum();
         assert!(gaps > 0, "expected accounted gaps at 20% loss");
     }
 
@@ -1290,33 +1052,30 @@ mod tests {
         // session, yet every polled sample reaches the controller.
         let mut config = CampaignConfig::default();
         config.link.loss = 0.1;
-        config.link.faults = FaultConfig {
-            blackout: Some((3.0, 5.0)),
-            ..FaultConfig::default()
-        };
-        let rec = run_session(&world(), 0, &short_schedule(), &config).unwrap();
+        config.link.faults.blackout = Some((3.0, 5.0));
+        let rec = session(&config);
+        let imu = rec.transport_for(StreamId::IMU).unwrap();
         assert!(
-            rec.transport.imu_link.lost + rec.transport.imu_link.blackout_drops > 0,
+            imu.link.lost + imu.link.blackout_drops > 0,
             "fault injection should actually drop transmissions"
         );
         assert!(
-            rec.transport.lossless(),
+            rec.lossless(),
             "retransmission must recover all samples: polled {} ingested {}",
-            rec.transport.readings_polled,
-            rec.transport.readings_ingested
+            rec.readings_polled,
+            rec.readings_ingested
         );
-        assert_eq!(rec.transport.imu.abandoned, 0);
-        assert_eq!(rec.transport.camera.abandoned, 0);
-        assert_eq!(rec.transport.imu_stream.unwrap().gaps, 0);
-        assert_eq!(rec.transport.camera_stream.unwrap().gaps, 0);
-        assert!(
-            rec.transport.imu.retransmits > 0,
-            "blackout must force retries"
-        );
+        for (stream, counters) in &rec.transport {
+            assert_eq!(counters.agent.abandoned, 0, "{stream}");
+            assert_eq!(rec.health_for(*stream).unwrap().gaps, 0, "{stream}");
+        }
+        assert!(imu.agent.retransmits > 0, "blackout must force retries");
         // And the recovered recording matches a lossless run's volume.
-        let lossless =
-            run_session(&world(), 0, &short_schedule(), &CampaignConfig::default()).unwrap();
-        assert_eq!(rec.frames.len(), lossless.frames.len());
+        let lossless = session(&CampaignConfig::default());
+        assert_eq!(
+            rec.frames_for(FRONT).len(),
+            lossless.frames_for(FRONT).len()
+        );
     }
 
     #[test]
@@ -1334,39 +1093,26 @@ mod tests {
     fn duplicated_deliveries_do_not_inflate_the_recording() {
         let mut config = CampaignConfig::default();
         config.link.faults.duplicate = 0.5;
-        let rec = run_session(&world(), 0, &short_schedule(), &config).unwrap();
-        let clean =
-            run_session(&world(), 0, &short_schedule(), &CampaignConfig::default()).unwrap();
-        assert_eq!(rec.frames.len(), clean.frames.len());
-        assert_eq!(
-            rec.transport.readings_ingested,
-            clean.transport.readings_ingested
-        );
-        let dups = rec.transport.imu_stream.unwrap().duplicates
-            + rec.transport.camera_stream.unwrap().duplicates;
+        let rec = session(&config);
+        let clean = session(&CampaignConfig::default());
+        assert_eq!(rec.frames_for(FRONT).len(), clean.frames_for(FRONT).len());
+        assert_eq!(rec.readings_ingested, clean.readings_ingested);
+        let dups: u64 = rec.health.iter().map(|(_, h)| h.unwrap().duplicates).sum();
         assert!(
             dups > 0,
             "50% duplication should produce duplicate deliveries"
         );
     }
 
-    fn chaos_durability(storage: Option<Arc<crate::wal::MemStorage>>) -> Durability {
+    fn chaos_durability(storage: Option<Arc<MemStorage>>) -> Durability {
+        let window = |kill_t, restart_t| CrashWindow { kill_t, restart_t };
         Durability {
             storage: storage.map(|s| s as Arc<dyn WalStorage>),
             wal: WalConfig {
                 segment_max_records: 8,
                 snapshot_every: 20,
             },
-            crashes: vec![
-                CrashWindow {
-                    kill_t: 3.0,
-                    restart_t: 4.0,
-                },
-                CrashWindow {
-                    kill_t: 7.0,
-                    restart_t: 7.75,
-                },
-            ],
+            crashes: vec![window(3.0, 4.0), window(7.0, 7.75)],
             torn_tail_bytes: 13,
         }
     }
@@ -1375,14 +1121,7 @@ mod tests {
     fn crash_without_wal_loses_acked_data() {
         // Negative control: no WAL, so a controller crash erases state
         // the agents were already told was safe.
-        let (rec, chaos) = run_session_durable(
-            &world(),
-            0,
-            &short_schedule(),
-            &CampaignConfig::default(),
-            &chaos_durability(None),
-        )
-        .unwrap();
+        let (rec, chaos) = durable(&CampaignConfig::default(), &chaos_durability(None));
         assert_eq!(chaos.recoveries, 2);
         assert!(chaos.deliveries_while_down > 0);
         assert!(
@@ -1392,24 +1131,23 @@ mod tests {
             chaos.acked,
             chaos.acked_lost
         );
-        assert!(!rec.transport.lossless());
+        assert!(!rec.lossless());
     }
 
     #[test]
     fn wal_recovery_loses_no_acked_samples() {
-        // The tentpole invariant: crashes, torn tail writes, and link
+        // The durability invariant: crashes, torn tail writes, and link
         // loss together lose nothing that was ever acked.
-        let storage = Arc::new(crate::wal::MemStorage::new());
         let mut config = CampaignConfig::default();
         config.link.loss = 0.05;
-        let (rec, chaos) = run_session_durable(
-            &world(),
-            0,
-            &short_schedule(),
-            &config,
-            &chaos_durability(Some(Arc::clone(&storage))),
-        )
-        .unwrap();
+        let run = || {
+            let storage = Arc::new(MemStorage::new());
+            let (rec, chaos) = durable(&config, &chaos_durability(Some(Arc::clone(&storage))));
+            let (recovered, _, _) =
+                crate::wal::open(config.controller, storage, WalConfig::default()).unwrap();
+            (rec, chaos, recovered.state_digest())
+        };
+        let (rec, chaos, digest) = run();
         assert_eq!(chaos.recoveries, 2);
         assert!(chaos.replayed_records > 0, "replay must do real work");
         assert!(
@@ -1426,54 +1164,14 @@ mod tests {
         // Hold-and-resume: with retransmission across the outages, the
         // recording ends complete.
         assert!(
-            rec.transport.lossless(),
+            rec.lossless(),
             "polled {} ingested {}",
-            rec.transport.readings_polled,
-            rec.transport.readings_ingested
+            rec.readings_polled,
+            rec.readings_ingested
         );
         // Recovery is bitwise-deterministic: an identical re-run against
         // a fresh store leaves a log that recovers to the same digest.
-        let storage2 = Arc::new(crate::wal::MemStorage::new());
-        let _ = run_session_durable(
-            &world(),
-            0,
-            &short_schedule(),
-            &config,
-            &chaos_durability(Some(Arc::clone(&storage2))),
-        )
-        .unwrap();
-        let (recovered_a, _, _) = crate::wal::open(
-            config.controller,
-            storage as Arc<dyn WalStorage>,
-            WalConfig::default(),
-        )
-        .unwrap();
-        let (recovered_b, _, _) = crate::wal::open(
-            config.controller,
-            storage2 as Arc<dyn WalStorage>,
-            WalConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(recovered_a.state_digest(), recovered_b.state_digest());
-    }
-
-    #[test]
-    fn durable_chaos_runs_are_deterministic() {
-        let run = || {
-            let storage = Arc::new(crate::wal::MemStorage::new());
-            run_session_durable(
-                &world(),
-                0,
-                &short_schedule(),
-                &CampaignConfig::default(),
-                &chaos_durability(Some(storage)),
-            )
-            .unwrap()
-        };
-        let (rec_a, chaos_a) = run();
-        let (rec_b, chaos_b) = run();
-        assert_eq!(rec_a, rec_b);
-        assert_eq!(chaos_a, chaos_b);
+        assert_eq!(run().2, digest);
     }
 
     #[test]
@@ -1487,21 +1185,14 @@ mod tests {
             drain_per_sec: 24.0,
             low_priority_reserve: 32.0,
         };
-        let (rec, chaos) = run_session_durable(
-            &world(),
-            0,
-            &short_schedule(),
-            &config,
-            &Durability::default(),
-        )
-        .unwrap();
+        let (rec, chaos) = durable(&config, &Durability::default());
         assert!(chaos.shed_batches > 0, "starved bucket must shed");
-        let cam = rec.transport.camera_stream.unwrap();
+        let cam = rec.health_for(FRONT).unwrap();
         assert!(cam.shed > 0 && cam.shed_ratio() > 0.0);
         // Lowest priority sheds first: the frame stream bears the brunt
         // while the IMU stream stays comparatively whole, so the aligned
         // stream the ensemble degrades onto still exists.
-        let imu = rec.transport.imu_stream.unwrap();
+        let imu = rec.health_for(StreamId::IMU).unwrap();
         assert!(
             imu.shed_ratio() < cam.shed_ratio(),
             "imu {} vs cam {}",
@@ -1511,54 +1202,20 @@ mod tests {
         assert!(!rec.imu.is_empty());
     }
 
-    fn canonical_schedule_short() -> Vec<Segment<darnet_sim::CanonicalBehavior>> {
-        use darnet_sim::CanonicalBehavior;
-        vec![
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::NormalDriving,
-                start: 0.0,
-                duration: 4.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::HeadDroop,
-                start: 4.0,
-                duration: 4.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::Texting,
-                start: 8.0,
-                duration: 4.0,
-            },
-        ]
-    }
-
-    const THREE_STREAMS: [StreamId; 3] =
-        [StreamId::IMU, StreamId::CAMERA_FRONT, StreamId::CAMERA_SIDE];
-
     #[test]
     fn canonical_session_collects_all_three_streams() {
-        let rec = run_canonical_session(
-            &world(),
-            0,
-            &canonical_schedule_short(),
-            &CampaignConfig::default(),
-            &THREE_STREAMS,
-            &[],
-        )
-        .unwrap();
+        let rec = canonical(&[]);
         assert!(rec.imu.len() >= 40, "imu points {}", rec.imu.len());
-        let front = rec.frames_for(StreamId::CAMERA_FRONT);
+        let front = rec.frames_for(FRONT);
         let side = rec.frames_for(StreamId::CAMERA_SIDE);
         assert!(front.len() >= 40, "front frames {}", front.len());
         assert!(side.len() >= 40, "side frames {}", side.len());
         // Views are genuinely different images of the same session.
         assert_ne!(front[10].frame, side[10].frame);
-        // Per-stream health exists for every registered stream.
+        // Per-stream health and transport exist for every registered stream.
         for s in THREE_STREAMS {
             assert!(rec.health_for(s).is_some(), "no health for {s}");
+            assert!(rec.transport_for(s).is_some(), "no transport for {s}");
         }
         // Each camera stream aligns against the shared IMU grid.
         let tuples = rec.aligned_tuples_for(StreamId::CAMERA_SIDE, 20);
@@ -1567,70 +1224,52 @@ mod tests {
     }
 
     #[test]
-    fn canonical_campaign_is_deterministic() {
-        let run = || {
-            run_canonical_campaign(
-                &world(),
-                &canonical_schedule_short(),
-                &CampaignConfig::default(),
-                &THREE_STREAMS,
-                &[],
-            )
-            .unwrap()
-        };
-        assert_eq!(run(), run());
-    }
-
-    #[test]
     fn per_stream_blackout_silences_only_that_stream() {
         // The multi-view ablation's knob: a dead side-camera link must not
         // perturb the front camera or the IMU.
-        let dead = LinkConfig {
-            faults: FaultConfig {
-                blackout: Some((0.0, 1e9)),
-                ..FaultConfig::default()
-            },
-            ..LinkConfig::default()
-        };
-        let rec = run_canonical_session(
-            &world(),
-            0,
-            &canonical_schedule_short(),
-            &CampaignConfig::default(),
-            &THREE_STREAMS,
-            &[(StreamId::CAMERA_SIDE, dead)],
-        )
-        .unwrap();
-        let clean = run_canonical_session(
-            &world(),
-            0,
-            &canonical_schedule_short(),
-            &CampaignConfig::default(),
-            &THREE_STREAMS,
-            &[],
-        )
-        .unwrap();
+        let mut dead = LinkConfig::default();
+        dead.faults.blackout = Some((0.0, 1e9));
+        let rec = canonical(&[(StreamId::CAMERA_SIDE, dead)]);
+        let clean = canonical(&[]);
         assert!(rec.frames_for(StreamId::CAMERA_SIDE).is_empty());
         assert!(rec.health_for(StreamId::CAMERA_SIDE).is_none());
-        assert_eq!(
-            rec.frames_for(StreamId::CAMERA_FRONT).len(),
-            clean.frames_for(StreamId::CAMERA_FRONT).len()
-        );
+        assert_eq!(rec.frames_for(FRONT).len(), clean.frames_for(FRONT).len());
         assert_eq!(rec.imu.len(), clean.imu.len());
     }
 
     #[test]
     fn canonical_session_rejects_unknown_streams() {
-        let err = run_canonical_session(
-            &world(),
-            0,
-            &canonical_schedule_short(),
-            &CampaignConfig::default(),
-            &[StreamId(9)],
-            &[],
-        )
-        .unwrap_err();
-        assert!(matches!(err, crate::CollectError::InvalidConfig(_)));
+        let run = |streams: &[StreamId], overrides: &[(StreamId, LinkConfig)]| {
+            let schedule = script(&[darnet_sim::CanonicalBehavior::Texting], 4.0);
+            let config = CampaignConfig::default();
+            run_canonical_session(&world(), 0, &schedule, &config, streams, overrides).unwrap_err()
+        };
+        // No sensor for the stream id.
+        let err = run(&[StreamId(9)], &[]);
+        assert!(matches!(err, CollectError::InvalidConfig(_)));
+        // A repeated stream would share its agent id with the first one.
+        let err = run(&[StreamId::IMU, StreamId::IMU, FRONT], &[]);
+        assert!(matches!(err, CollectError::InvalidConfig(_)));
+        // An override for a stream the session does not register.
+        let side = (StreamId::CAMERA_SIDE, LinkConfig::default());
+        let err = run(&[StreamId::IMU, FRONT], &[side]);
+        assert!(matches!(err, CollectError::InvalidConfig(_)));
+    }
+
+    #[test]
+    fn silent_imu_stream_yields_an_empty_grid() {
+        // Every link blacked out for the whole session: nothing arrives,
+        // and the recording says so with an empty IMU grid rather than
+        // an error.
+        let mut config = CampaignConfig::default();
+        config.link.faults.blackout = Some((0.0, 1e9));
+        config.retransmit = RetransmitConfig::disabled();
+        let rec = session(&config);
+        assert!(rec.imu.is_empty());
+        assert!(rec.frames_for(FRONT).is_empty());
+        assert!(rec.health.iter().all(|(_, h)| h.is_none()));
+        assert_eq!(rec.readings_ingested, 0);
+        assert!(rec.readings_polled > 0);
     }
 
     #[test]

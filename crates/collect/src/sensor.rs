@@ -1,9 +1,11 @@
-//! Sensor abstraction and the two concrete DarNet sensors (camera + IMU)
-//! backed by the synthetic driving world.
+//! Sensor abstraction and the concrete DarNet sensors (front and side
+//! camera, phone IMU) backed by the synthetic driving world. They follow
+//! the 8-class canonical script; a Table-1 script is embedded into it
+//! first (the six base classes render bitwise like the paper's).
 
 use std::sync::Arc;
 
-use darnet_sim::{Behavior, CanonicalBehavior, DrivingWorld, Frame, ImuSample, Segment};
+use darnet_sim::{CanonicalBehavior, DrivingWorld, Frame, ImuSample, Segment};
 use serde::{Deserialize, Serialize};
 
 /// One sensor observation.
@@ -63,101 +65,6 @@ pub(crate) fn scripted_at<B: Copy>(segments: &[Segment<B>], t: f64, fallback: B)
         seg.behavior
     } else {
         fallback
-    }
-}
-
-/// Looks up the scripted behaviour at session time `t` for a sorted,
-/// per-driver segment list. Falls back to [`Behavior::NormalDriving`]
-/// outside the script.
-pub(crate) fn behavior_at(segments: &[Segment<Behavior>], t: f64) -> Behavior {
-    scripted_at(segments, t, Behavior::NormalDriving)
-}
-
-/// The in-vehicle camera (the paper's Nexus 7 "dashcam" agent).
-pub struct CameraSensor {
-    world: Arc<DrivingWorld>,
-    driver: usize,
-    segments: Vec<Segment<Behavior>>,
-    period: f64,
-    name: String,
-}
-
-impl CameraSensor {
-    /// Creates a camera for `driver` following the given (session-local,
-    /// sorted) segment script.
-    pub fn new(
-        world: Arc<DrivingWorld>,
-        driver: usize,
-        mut segments: Vec<Segment<Behavior>>,
-        period: f64,
-    ) -> Self {
-        segments.sort_by(|a, b| a.start.total_cmp(&b.start));
-        CameraSensor {
-            world,
-            driver,
-            segments,
-            period,
-            name: format!("camera.driver{driver}"),
-        }
-    }
-}
-
-impl Sensor for CameraSensor {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn period(&self) -> f64 {
-        self.period
-    }
-
-    fn sample(&mut self, t: f64) -> SensorReading {
-        let behavior = behavior_at(&self.segments, t);
-        SensorReading::Frame(self.world.render_frame(self.driver, behavior, t))
-    }
-}
-
-/// The driver's phone IMU (the paper's Nexus S agent: accelerometer,
-/// gyroscope, gravity, and rotation listeners at 25 ms).
-pub struct ImuSensor {
-    world: Arc<DrivingWorld>,
-    driver: usize,
-    segments: Vec<Segment<Behavior>>,
-    period: f64,
-    name: String,
-}
-
-impl ImuSensor {
-    /// Creates an IMU sensor for `driver` following the given script.
-    pub fn new(
-        world: Arc<DrivingWorld>,
-        driver: usize,
-        mut segments: Vec<Segment<Behavior>>,
-        period: f64,
-    ) -> Self {
-        segments.sort_by(|a, b| a.start.total_cmp(&b.start));
-        ImuSensor {
-            world,
-            driver,
-            segments,
-            period,
-            name: format!("imu.driver{driver}"),
-        }
-    }
-}
-
-impl Sensor for ImuSensor {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn period(&self) -> f64 {
-        self.period
-    }
-
-    fn sample(&mut self, t: f64) -> SensorReading {
-        let behavior = behavior_at(&self.segments, t);
-        SensorReading::Imu(self.world.imu_sample(self.driver, behavior, t))
     }
 }
 
@@ -273,45 +180,46 @@ impl Sensor for CanonicalImuSensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darnet_sim::WorldConfig;
+    use darnet_sim::{Behavior, WorldConfig};
+    use CanonicalBehavior::{HeadDroop, NormalDriving, Talking, Texting};
 
-    fn script() -> Vec<Segment<Behavior>> {
-        vec![
-            Segment {
-                driver: 0,
-                behavior: Behavior::NormalDriving,
-                start: 0.0,
-                duration: 15.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: Behavior::Texting,
-                start: 15.0,
-                duration: 15.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: Behavior::Talking,
-                start: 30.0,
-                duration: 15.0,
-            },
-        ]
+    fn world() -> Arc<DrivingWorld> {
+        Arc::new(DrivingWorld::new(WorldConfig::default()))
+    }
+
+    /// Back-to-back driver-0 segments, one per class, 15 s each.
+    fn script(classes: &[CanonicalBehavior]) -> Vec<Segment<CanonicalBehavior>> {
+        let segment = |(i, &behavior)| Segment {
+            driver: 0,
+            behavior,
+            start: i as f64 * 15.0,
+            duration: 15.0,
+        };
+        classes.iter().enumerate().map(segment).collect()
+    }
+
+    fn camera(
+        world: &Arc<DrivingWorld>,
+        script: Vec<Segment<CanonicalBehavior>>,
+        view: CameraView,
+    ) -> CanonicalCameraSensor {
+        CanonicalCameraSensor::new(Arc::clone(world), 0, script, 0.25, view)
     }
 
     #[test]
     fn behavior_lookup_follows_script() {
-        let s = script();
-        assert_eq!(behavior_at(&s, 0.0), Behavior::NormalDriving);
-        assert_eq!(behavior_at(&s, 16.0), Behavior::Texting);
-        assert_eq!(behavior_at(&s, 44.9), Behavior::Talking);
+        let s = script(&[NormalDriving, Texting, Talking]);
+        let at = |t| scripted_at(&s, t, NormalDriving);
+        assert_eq!(at(0.0), NormalDriving);
+        assert_eq!(at(16.0), Texting);
+        assert_eq!(at(44.9), Talking);
         // Past the end: normal driving.
-        assert_eq!(behavior_at(&s, 45.1), Behavior::NormalDriving);
+        assert_eq!(at(45.1), NormalDriving);
     }
 
     #[test]
     fn camera_sensor_emits_frames() {
-        let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let mut cam = CameraSensor::new(world, 0, script(), 0.25);
+        let mut cam = camera(&world(), script(&[Texting]), CameraView::Front);
         assert_eq!(cam.period(), 0.25);
         assert!(cam.name().contains("camera"));
         let reading = cam.sample(1.0);
@@ -321,54 +229,32 @@ mod tests {
 
     #[test]
     fn imu_sensor_emits_samples() {
-        let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let mut imu = ImuSensor::new(world, 1, script(), 0.025);
-        let reading = imu.sample(20.0);
+        let world = world();
+        let mut imu = CanonicalImuSensor::new(Arc::clone(&world), 1, script(&[Texting]), 0.025);
+        let reading = imu.sample(10.0);
         assert!(reading.as_imu().is_some());
+        // Base classes sample through the Table-1 IMU path bitwise.
+        let table1 = world.imu_sample(1, Behavior::Texting, 10.0);
+        assert_eq!(reading.as_imu().unwrap(), &table1);
     }
 
     #[test]
     fn sensors_are_boxable_as_trait_objects() {
-        let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
+        let world = world();
         let sensors: Vec<Box<dyn Sensor>> = vec![
-            Box::new(CameraSensor::new(Arc::clone(&world), 0, script(), 0.25)),
-            Box::new(ImuSensor::new(world, 0, script(), 0.025)),
+            Box::new(camera(&world, script(&[Texting]), CameraView::Front)),
+            Box::new(CanonicalImuSensor::new(world, 0, script(&[Texting]), 0.025)),
         ];
         assert_eq!(sensors.len(), 2);
     }
 
     #[test]
     fn canonical_sensors_follow_the_8_class_script() {
-        let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let script = vec![
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::HeadDroop,
-                start: 0.0,
-                duration: 10.0,
-            },
-            Segment {
-                driver: 0,
-                behavior: CanonicalBehavior::Texting,
-                start: 10.0,
-                duration: 10.0,
-            },
-        ];
-        let mut front = CanonicalCameraSensor::new(
-            Arc::clone(&world),
-            0,
-            script.clone(),
-            0.25,
-            CameraView::Front,
-        );
-        let mut side = CanonicalCameraSensor::new(
-            Arc::clone(&world),
-            0,
-            script.clone(),
-            0.25,
-            CameraView::Side,
-        );
-        let mut imu = CanonicalImuSensor::new(Arc::clone(&world), 0, script, 0.025);
+        let world = world();
+        let classes = [HeadDroop, Texting];
+        let mut front = camera(&world, script(&classes), CameraView::Front);
+        let mut side = camera(&world, script(&classes), CameraView::Side);
+        let mut imu = CanonicalImuSensor::new(Arc::clone(&world), 0, script(&classes), 0.025);
         assert!(front.name().contains("camera.front"));
         assert!(side.name().contains("camera.side"));
         let f = front.sample(2.0);
@@ -376,21 +262,22 @@ mod tests {
         // Same instant, same scripted class, different geometry.
         assert_ne!(f.as_frame().unwrap(), s.as_frame().unwrap());
         assert!(imu.sample(2.0).as_imu().is_some());
-        // Base classes route through the legacy render path bitwise.
-        let legacy = world.render_frame(0, Behavior::Texting, 12.0);
-        assert_eq!(front.sample(12.0).as_frame().unwrap(), &legacy);
+        // Base classes route through the Table-1 render path bitwise.
+        let table1 = world.render_frame(0, Behavior::Texting, 17.0);
+        assert_eq!(front.sample(17.0).as_frame().unwrap(), &table1);
     }
 
     #[test]
     fn unsorted_script_is_sorted_on_construction() {
-        let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
-        let mut rev = script();
+        let world = world();
+        let classes = [NormalDriving, Texting, Talking];
+        let mut rev = script(&classes);
         rev.reverse();
-        let mut cam = CameraSensor::new(world, 0, rev, 0.25);
+        let mut sorted = camera(&world, script(&classes), CameraView::Front);
+        let mut cam = camera(&world, rev, CameraView::Front);
         // Still resolves the right behaviour.
-        let f_texting = cam.sample(20.0);
-        let f_normal = cam.sample(5.0);
-        assert!(f_texting.as_frame().is_some());
-        assert!(f_normal.as_frame().is_some());
+        for t in [5.0, 20.0, 40.0] {
+            assert_eq!(cam.sample(t), sorted.sample(t));
+        }
     }
 }

@@ -118,7 +118,7 @@ proptest! {
 
 mod transport_props {
     use darnet_collect::runtime::{run_session, CampaignConfig};
-    use darnet_collect::RetransmitConfig;
+    use darnet_collect::{RetransmitConfig, StreamId};
     use darnet_sim::{Behavior, DrivingWorld, Segment, WorldConfig};
     use proptest::prelude::*;
     use std::sync::Arc;
@@ -171,21 +171,22 @@ mod transport_props {
 
             // No loss: with retransmission on, everything polled arrives.
             prop_assert_eq!(
-                rec.transport.readings_ingested,
-                rec.transport.readings_polled,
+                rec.readings_ingested,
+                rec.readings_polled,
                 "seed {} loss {} jitter {} dup {}",
                 seed, loss, jitter, duplicate
             );
             // No duplicates: every stream's gap accounting closes at zero
             // and duplicate deliveries were discarded, not ingested.
-            for h in [rec.transport.imu_stream, rec.transport.camera_stream] {
+            for (_, h) in &rec.health {
                 let h = h.expect("both streams delivered");
                 prop_assert_eq!(h.gaps, 0);
                 prop_assert_eq!(h.delivered, h.highest_seq as u64 + 1);
             }
             // Sorted after alignment, despite jitter-induced reordering.
             prop_assert!(rec.imu.windows(2).all(|w| w[0].t < w[1].t));
-            prop_assert!(rec.frames.windows(2).all(|w| w[0].t <= w[1].t));
+            let frames = rec.frames_for(StreamId::CAMERA_FRONT);
+            prop_assert!(frames.windows(2).all(|w| w[0].t <= w[1].t));
         }
 
         #[test]
@@ -200,7 +201,7 @@ mod transport_props {
             let rec = run_session(&world, 0, &schedule(), &config).unwrap();
             // Dedupe holds even without acks: duplication can never inflate
             // the recording past what was polled.
-            prop_assert!(rec.transport.readings_ingested <= rec.transport.readings_polled);
+            prop_assert!(rec.readings_ingested <= rec.readings_polled);
             prop_assert!(rec.imu.windows(2).all(|w| w[0].t < w[1].t));
         }
 

@@ -5,7 +5,7 @@
 //! training and evaluation (§5.1); IMU windows are 20 points at 4 Hz
 //! (5 seconds, §4.2).
 
-use darnet_collect::runtime::{DriverRecording, MultiStreamRecording};
+use darnet_collect::runtime::MultiStreamRecording;
 use darnet_collect::StreamId;
 use darnet_sim::{
     Behavior, CanonicalBehavior, DrivingWorld, ExtendedBehavior, Frame, ImuClass, Segment,
@@ -315,7 +315,7 @@ impl MultimodalDataset {
     /// Returns [`CoreError::Dataset`] if the recordings contain frames of
     /// inconsistent sizes.
     pub fn from_recordings(
-        recordings: &[DriverRecording],
+        recordings: &[MultiStreamRecording],
         segments: &[Segment<Behavior>],
     ) -> Result<Self> {
         let mut samples = Vec::new();
@@ -329,7 +329,7 @@ impl MultimodalDataset {
             script.sort_by(|a, b| a.start.total_cmp(&b.start));
             // The collect pipeline owns frame↔window pairing; the dataset
             // adds ground-truth labels from the schedule on top.
-            for tup in rec.aligned_tuples(WINDOW_LEN) {
+            for tup in rec.aligned_tuples_for(StreamId::CAMERA_FRONT, WINDOW_LEN) {
                 if frame_size == 0 {
                     frame_size = tup.frame.width();
                 }
@@ -801,7 +801,7 @@ mod tests {
     use darnet_sim::WorldConfig;
     use std::sync::Arc;
 
-    fn tiny_campaign() -> (Vec<DriverRecording>, Vec<Segment<Behavior>>) {
+    fn tiny_campaign() -> (Vec<MultiStreamRecording>, Vec<Segment<Behavior>>) {
         let world = Arc::new(DrivingWorld::new(WorldConfig::default()));
         let segments = vec![
             Segment {

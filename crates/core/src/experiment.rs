@@ -693,7 +693,7 @@ pub fn run_ablation_clocksync(config: &ExperimentConfig) -> Result<ClockSyncAbla
             ..CampaignConfig::default()
         },
     )?;
-    let max = |recs: &[darnet_collect::runtime::DriverRecording]| {
+    let max = |recs: &[darnet_collect::runtime::MultiStreamRecording]| {
         recs.iter().map(|r| r.max_clock_error).fold(0.0, f64::max)
     };
     Ok(ClockSyncAblation {

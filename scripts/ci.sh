@@ -51,6 +51,12 @@
 #                  under that loss must stay at or above the 2-stream
 #                  engine under the same loss and within 15% of the
 #                  clean 2-stream baseline (--check)
+#   9. e2ebench  — builds the standalone end-to-end benchmark
+#                  (e2ebench/, its own workspace, so `cargo test
+#                  --workspace` never compiles it) and runs a short
+#                  fleet_3view pass that must exit 0; this keeps the
+#                  benchmark building against the collect/core APIs
+#                  it imports
 #
 # Usage:
 #   scripts/ci.sh                 run every step
@@ -58,7 +64,7 @@
 #   scripts/ci.sh --list          list step names and exit
 #
 # Every step is timed and a per-step elapsed summary is printed at the
-# end, so the 8-step pipeline can be profiled and iterated on locally
+# end, so the 9-step pipeline can be profiled and iterated on locally
 # without grepping logs.
 #
 # The workspace vendors every dependency, so the whole pipeline runs with
@@ -69,7 +75,7 @@ cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
 
-STEPS=(tier1 darlint docs parallel inference chaos fleet multiview)
+STEPS=(tier1 darlint docs parallel inference chaos fleet multiview e2ebench)
 ONLY=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -132,6 +138,12 @@ step_inference() { run_bench bench_inference BENCH_inference.json; }
 step_chaos()     { run_bench bench_chaos     BENCH_chaos.json; }
 step_fleet()     { run_bench bench_fleet     BENCH_fleet.json; }
 step_multiview() { run_bench repro_ablation_multiview BENCH_multiview.json; }
+
+step_e2ebench() {
+  cargo build --release --locked --offline --manifest-path e2ebench/Cargo.toml
+  cargo run --release --locked --offline -q --manifest-path e2ebench/Cargo.toml -- \
+    --workload fleet_3view --seed 1 --seconds 5 --trace 0
+}
 
 wants() {
   [[ ${#ONLY[@]} -eq 0 ]] && return 0

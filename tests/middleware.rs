@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use darnet::collect::live::run_live_session;
-use darnet::collect::runtime::{run_campaign, run_session, CampaignConfig};
-use darnet::collect::{ClockConfig, ControllerConfig, LinkConfig, RetransmitConfig};
+use darnet::collect::runtime::{run_campaign, run_session, CampaignConfig, MultiStreamRecording};
+use darnet::collect::{ClockConfig, ControllerConfig, LinkConfig, RetransmitConfig, StreamId};
 use darnet::core::experiment::{run_ablation_clocksync, ExperimentConfig};
 use darnet::sim::{Behavior, DrivingWorld, Segment, WorldConfig};
 
@@ -41,7 +41,7 @@ fn grid_density_matches_configured_rate() {
         rec.imu.len()
     );
     // Frames at 4 fps over 16 s ≈ 64.
-    assert!((58..=68).contains(&rec.frames.len()));
+    assert!((58..=68).contains(&rec.frames_for(StreamId::CAMERA_FRONT).len()));
 }
 
 #[test]
@@ -121,7 +121,8 @@ fn total_camera_outage_still_yields_imu_stream() {
     };
     let rec = run_session(&world(), 0, &script(8.0), &config).unwrap();
     let healthy = run_session(&world(), 0, &script(8.0), &CampaignConfig::default()).unwrap();
-    assert!(rec.frames.len() < healthy.frames.len() / 4);
+    let frames = |r: &MultiStreamRecording| r.frames_for(StreamId::CAMERA_FRONT).len();
+    assert!(frames(&rec) < frames(&healthy) / 4);
     assert!(!rec.imu.is_empty());
 }
 
@@ -131,8 +132,15 @@ fn tsdb_rollups_reflect_session_dynamics() {
     // accelerometer magnitude variance should be visible per bucket.
     use darnet::collect::live::run_live_session;
     use darnet::collect::Aggregation;
-    let live =
-        run_live_session(&world(), 0, &script(6.0), 12.0, ControllerConfig::default()).unwrap();
+    let live = run_live_session(
+        &world(),
+        0,
+        &script(6.0),
+        12.0,
+        ControllerConfig::default(),
+        None,
+    )
+    .unwrap();
     let buckets = live
         .controller
         .tsdb()
@@ -153,8 +161,15 @@ fn tsdb_rollups_reflect_session_dynamics() {
 #[test]
 fn live_threaded_mode_agrees_with_event_driven_grid() {
     let rec = run_session(&world(), 0, &script(5.0), &CampaignConfig::default()).unwrap();
-    let live =
-        run_live_session(&world(), 0, &script(5.0), 10.0, ControllerConfig::default()).unwrap();
+    let live = run_live_session(
+        &world(),
+        0,
+        &script(5.0),
+        10.0,
+        ControllerConfig::default(),
+        None,
+    )
+    .unwrap();
     let live_grid = live.controller.aligned_imu().unwrap();
     // Same virtual duration → comparable grid density (live mode has no
     // network model, so counts differ only at the edges).
